@@ -11,6 +11,13 @@ processes or separate ``repro serve --queue`` invocations — and the
 queue's lease protocol guarantees each job lands exactly once even when
 nodes are SIGKILL'd mid-run (see :mod:`repro.service.queue`).
 
+The node loop sleeps on one wake event, set by every local submission
+(:meth:`QueueWorker.notify`, called by the HTTP front-end after its
+``queue.submit``) and by every pool completion, so a job is claimed and
+a result published the moment either happens.  ``poll_s`` is only the
+fallback that notices work submitted by *other* processes — other
+nodes, ``repro queue submit`` — which cannot reach this event.
+
 Sharing the result cache across nodes is just pointing every node's
 ``ResultCache`` at the same store directory: the keys are content
 addresses (sha256 of canonical source + semantic knobs), so a hit
@@ -36,7 +43,8 @@ class QueueWorker:
 
     ``queue`` is a :class:`JobQueue` or a path to one.  ``claim_ahead``
     bounds how many leases the node holds beyond busy workers (0 keeps
-    leases minimal; 1-2 hides claim latency).
+    leases minimal; 1-2 hides claim latency).  ``poll_s`` is how often
+    an idle node looks for work no :meth:`notify` announced.
     """
 
     def __init__(self, queue: Union[JobQueue, str], workers: int = 1,
@@ -50,8 +58,12 @@ class QueueWorker:
         self.node_id = node_id or f"node-{os.getpid()}"
         self.poll_s = poll_s
         self.claim_ahead = max(0, claim_ahead)
+        #: set by local submissions and pool completions; the node
+        #: loop waits on it (``poll_s`` at most) between rounds.
+        self._wake = threading.Event()
         self.pool = WorkerPool(workers=workers, cache=cache,
-                               keep_stream=True)
+                               keep_stream=True,
+                               on_complete=self._wake.set)
         #: pool job id -> queue id, for every lease this node holds.
         self._in_flight: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -83,19 +95,24 @@ class QueueWorker:
         Leases the node still holds un-completed are released back to
         the queue (attempt refunded) rather than left to expire."""
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
         # Let anything the pool already finished land first.
-        self._drain_completions(block=False)
+        self._drain_completions()
         self.pool.shutdown(wait=True)
-        self._drain_completions(block=False)
+        self._drain_completions()
         with self._lock:
             leftovers = list(self._in_flight.items())
             self._in_flight.clear()
         for _pool_id, queue_id in leftovers:
             if self.queue.release(queue_id, self.node_id):
                 self.released += 1
+
+    def notify(self) -> None:
+        """Wake the node loop: this process just queued work."""
+        self._wake.set()
 
     def __enter__(self) -> "QueueWorker":
         return self.start()
@@ -117,6 +134,7 @@ class QueueWorker:
         completed_before = self.completed
         idle_since: Optional[float] = None
         while True:
+            self._wake.clear()
             progressed = self._step()
             with self._lock:
                 busy = bool(self._in_flight)
@@ -133,9 +151,10 @@ class QueueWorker:
                 elif (idle_timeout_s is not None
                       and now - idle_since > idle_timeout_s):
                     break
-                time.sleep(self.poll_s)
+            if not progressed:
+                self._wake.wait(self.poll_s)
         self.pool.shutdown(wait=True)
-        self._drain_completions(block=False)
+        self._drain_completions()
         return self.completed - completed_before
 
     def _export_node_env(self) -> None:
@@ -149,18 +168,18 @@ class QueueWorker:
 
     def _run_loop(self) -> None:
         while not self._stop.is_set():
-            if not self._step():
-                time.sleep(self.poll_s)
+            # Clear before the round: a wake-up that lands during it
+            # makes the wait below return at once.
+            self._wake.clear()
+            if not self._step() and not self._stop.is_set():
+                self._wake.wait(self.poll_s)
 
     def _step(self) -> bool:
         """One scheduling round: land completions, heartbeat leases,
         claim new work.  Returns whether anything happened."""
-        progressed = self._drain_completions(block=False)
+        progressed = self._drain_completions()
         self._heartbeat_leases()
         progressed |= self._claim_ready()
-        if not progressed:
-            # Block briefly on the completion stream instead of spinning.
-            progressed = self._drain_completions(block=True)
         return progressed
 
     def _capacity(self) -> int:
@@ -217,14 +236,12 @@ class QueueWorker:
                 self.heartbeats_missed += 1
                 self.lost_leases += 1
 
-    def _drain_completions(self, block: bool) -> bool:
+    def _drain_completions(self) -> bool:
         landed = False
-        timeout: Optional[float] = self.poll_s if block else 0.0
         while True:
-            item = self.pool.next_completed(timeout=timeout)
+            item = self.pool.next_completed(timeout=0.0)
             if item is None:
                 return landed
-            timeout = 0.0
             pool_id, result = item
             with self._lock:
                 queue_id = self._in_flight.pop(pool_id, None)

@@ -23,7 +23,12 @@ Supervision protocol: each worker owns a private duplex pipe.  The
 parent sends ``(job_id, job_dict)``; the worker answers
 ``(job_id, result_dict)``.  Private pipes mean a killed worker can only
 ever corrupt its own channel — which the parent discards when it spawns
-the replacement — never the rest of the pool.
+the replacement — never the rest of the pool.  The dispatcher thread
+sleeps in one ``connection.wait`` over the busy workers' pipes plus a
+self-pipe (a socketpair) that :meth:`WorkerPool.submit` writes a byte
+to, so a submission and a result both wake it at once;
+``poll_interval_s`` only bounds how late a deadline or an idle worker's
+death is noticed.
 
 Start method: ``fork`` where available (Linux).  Unlike spawn/forkserver
 it never re-imports the parent's ``__main__`` — so pools work from
@@ -41,11 +46,13 @@ import multiprocessing
 import os
 import queue
 import signal
+import socket
 import threading
 import time
 from collections import deque
 from multiprocessing import connection
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from .. import telemetry
 from .cache import ResultCache
@@ -256,13 +263,16 @@ class WorkerPool:
                 ...
 
     Long-lived use (the HTTP server): ``submit`` from any thread, read
-    ``status(job_id)`` / ``result(job_id)`` until done.
+    ``status(job_id)`` / ``result(job_id)`` until done.  ``on_complete``
+    is called (under the pool lock, so it must not block) after every
+    completion is published — the queue node uses it to wake its loop.
     """
 
     def __init__(self, workers: int = 1,
                  cache: Optional[ResultCache] = None,
                  poll_interval_s: float = 0.02,
-                 keep_stream: bool = True) -> None:
+                 keep_stream: bool = True,
+                 on_complete: Optional[Callable[[], None]] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
@@ -286,6 +296,11 @@ class WorkerPool:
         #: completion stream for run()/next_completed() consumers.
         self._completed: "queue.Queue[Tuple[str, JobResult]]" = queue.Queue()
         self._keep_stream = keep_stream
+        self._on_complete = on_complete
+        #: the dispatcher's self-pipe: ``submit`` and ``shutdown`` write
+        #: a byte to ``_wake_w``; the dispatcher waits on ``_wake_r``.
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
         self._counter = 0
         self.stats = PoolStats()
         self._stop = threading.Event()
@@ -298,6 +313,9 @@ class WorkerPool:
         if self._started:
             return self
         self._started = True
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._handles = [self._spawn() for _ in range(self.workers)]
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-pool-dispatch", daemon=True)
@@ -318,6 +336,7 @@ class WorkerPool:
                         break
                 time.sleep(self.poll_interval_s)
         self._stop.set()
+        self._wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         for handle in self._handles:
@@ -332,6 +351,8 @@ class WorkerPool:
                 handle.process.join(timeout=1.0)
             handle.conn.close()
         self._handles = []
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -369,7 +390,15 @@ class WorkerPool:
                 self._key_owner[key] = job_id
                 self._owner_key[job_id] = key
             self._pending.append(job_id)
+        self._wake()
         return job_id
+
+    def _wake(self) -> None:
+        """Wake the dispatcher out of its ``connection.wait``."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # already woken (buffer full), or shut down
 
     def cancel_pending(self) -> List[str]:
         """Complete every not-yet-dispatched job as ``cancelled``;
@@ -509,15 +538,18 @@ class WorkerPool:
                 self._trace_dispatch(job_id, job, handle)
 
     def _drain_results(self) -> None:
+        """Wait for a result or a wake-up, then land every result that
+        is ready.  The timeout only paces deadline and death checks."""
         conns = [h.conn for h in self._handles if not h.idle]
-        if not conns:
-            time.sleep(self.poll_interval_s)
-            return
         try:
-            ready = connection.wait(conns, timeout=self.poll_interval_s)
-        except OSError:
+            ready = connection.wait(conns + [self._wake_r],
+                                    timeout=self.poll_interval_s)
+        except (OSError, ValueError):  # a pipe closed under shutdown
             ready = []
         for conn_ in ready:
+            if conn_ is self._wake_r:
+                self._drain_wake()
+                continue
             handle = next((h for h in self._handles if h.conn is conn_),
                           None)
             if handle is None:  # pragma: no cover - replaced mid-drain
@@ -531,6 +563,13 @@ class WorkerPool:
                     continue
                 handle.clear()
                 self._finish(job_id, JobResult.from_dict(result_dict))
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:  # drained (EAGAIN)
+            pass
 
     def _police_workers(self) -> None:
         """Kill over-deadline workers; replace dead ones; report both."""
@@ -630,6 +669,8 @@ class WorkerPool:
         self.stats.record(result)
         if self._keep_stream:
             self._completed.put((job_id, result))
+        if self._on_complete is not None:
+            self._on_complete()
         key = self._owner_key.pop(job_id, None)
         if key is not None:
             self._key_owner.pop(key, None)

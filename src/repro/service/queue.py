@@ -90,6 +90,17 @@ CREATE INDEX IF NOT EXISTS jobs_batch ON jobs (batch_id, state);
 """
 
 
+#: how every stored ``result_json`` begins (``JobResult.to_dict`` puts
+#: ``schema`` first and :func:`_encode_result` keeps that order), so
+#: :meth:`JobQueue.result_json` can check the schema without a decode.
+_RESULT_PREFIX = b'{"schema": %d, ' % JobResult.SCHEMA
+
+
+def _encode_result(result: JobResult) -> str:
+    """The ``result_json`` column text for one result."""
+    return json.dumps(result.to_dict())
+
+
 class QueueError(Exception):
     """The queue database is unusable (corrupt, locked beyond the busy
     timeout, wrong schema...)."""
@@ -267,8 +278,7 @@ class JobQueue:
                         "UPDATE jobs SET state = 'failed', result_json = ?, "
                         "lease_owner = NULL, lease_expires_at = NULL, "
                         "finished_at = ? WHERE id = ?",
-                        (json.dumps(outcome.to_dict(), sort_keys=True),
-                         now_, row["id"]))
+                        (_encode_result(outcome), now_, row["id"]))
                     conn.execute("COMMIT")
                     self._count("expired_failures")
                     continue  # look for the next runnable job
@@ -326,8 +336,7 @@ class JobQueue:
             "UPDATE jobs SET state = 'done', result_json = ?, "
             "lease_owner = NULL, lease_expires_at = NULL, finished_at = ? "
             "WHERE id = ? AND state = 'leased' AND lease_owner = ?",
-            (json.dumps(result.to_dict(), sort_keys=True), now_,
-             queue_id, owner))
+            (_encode_result(result), now_, queue_id, owner))
         return cursor.rowcount == 1
 
     def release(self, queue_id: int, owner: str) -> bool:
@@ -361,12 +370,30 @@ class JobQueue:
         return Job.from_dict(json.loads(row["job_json"]))
 
     def result(self, queue_id: int) -> Optional[JobResult]:
-        row = self._conn().execute(
-            "SELECT result_json FROM jobs WHERE id = ?",
-            (queue_id,)).fetchone()
-        if row is None or row["result_json"] is None:
+        data = self._stored_result(queue_id)
+        if data is None:
             return None
-        return JobResult.from_dict(json.loads(row["result_json"]))
+        return JobResult.from_dict(json.loads(data))
+
+    def result_json(self, queue_id: int) -> Optional[bytes]:
+        """One job's result as UTF-8 JSON, without decoding it: the
+        stored bytes verbatim when they carry the current
+        ``JobResult.SCHEMA``.  Any other row goes through
+        :meth:`JobResult.from_dict`, so a foreign schema still raises
+        ``ValueError``.  (A race report can run to tens of MB; decoding
+        and re-encoding it on every poll would hold the GIL for a
+        second.)"""
+        data = self._stored_result(queue_id)
+        if data is None or data.startswith(_RESULT_PREFIX):
+            return data
+        result = JobResult.from_dict(json.loads(data))
+        return _encode_result(result).encode("utf-8")
+
+    def _stored_result(self, queue_id: int) -> Optional[bytes]:
+        row = self._conn().execute(
+            "SELECT CAST(result_json AS BLOB) AS data FROM jobs "
+            "WHERE id = ?", (queue_id,)).fetchone()
+        return None if row is None else row["data"]
 
     def counts(self, batch_id: Optional[str] = None) -> Dict[str, int]:
         """Jobs per state, queue-wide or for one batch."""
@@ -457,8 +484,7 @@ class JobQueue:
                 conn.execute(
                     "UPDATE jobs SET state = 'cancelled', result_json = ?, "
                     "finished_at = ? WHERE id = ? AND state = 'queued'",
-                    (json.dumps(outcome.to_dict(), sort_keys=True),
-                     now_, row["id"]))
+                    (_encode_result(outcome), now_, row["id"]))
             conn.execute("COMMIT")
         except sqlite3.Error as error:
             conn.execute("ROLLBACK")

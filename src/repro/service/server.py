@@ -40,7 +40,13 @@ Endpoints, JSON in and out (SSE for the event stream):
 Every non-stream response, including handler- and ``http.server``-
 generated errors, is JSON with an explicit ``Content-Length``
 (keep-alive clients depend on it); the SSE stream is the one
-``Connection: close`` path.
+``Connection: close`` path.  Each such response — status line, headers
+and body — leaves in a single socket write, and accepted sockets set
+``TCP_NODELAY``: with headers and body as two small writes, Nagle's
+algorithm holds the body until the client ACKs the headers, and the
+client's delayed ACK adds ~40 ms to every request.  A finished queue
+job's ``GET /jobs/<id>`` body is built around the stored result text
+(:meth:`JobQueue.result_json`), never decoded and re-encoded.
 """
 
 from __future__ import annotations
@@ -80,6 +86,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/2.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket (see the module docstring).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -99,23 +107,32 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send_body(self, status: int, *parts: bytes,
+                   content_type: str = "application/json") -> None:
+        """Send one complete response, whose body is ``parts`` joined,
+        in a single write: the ``end_headers``/``flush_headers`` pair of
+        ``http.server`` with the body appended before the one
+        ``wfile.write``."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(sum(map(len, parts))))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+        head = getattr(self, "_headers_buffer", [])
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head + list(parts)))
+
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        self._send_body(status,
+                        json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; charset=utf-8"
                    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, text.encode("utf-8"),
+                        content_type=content_type)
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -131,11 +148,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": short})
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        # A body left unread (bad or oversize length) would be parsed as
+        # the next request on this keep-alive connection: close it.
+        if length < 0:
+            self.close_connection = True
+            self._error(400, f"invalid Content-Length {declared!r}")
+            return None
+        if length == 0:
             self._error(400, "a JSON request body is required")
             return None
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
             return None
         return self.rfile.read(length)
@@ -199,6 +227,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if self.queue is not None:
             ids: List[Any] = [self.queue.submit(job, tenant=tenant)
                               for job in jobs]
+            self.service.node.notify()  # claim now, not at the next poll
         else:
             ids = [self.pool.submit(job) for job in jobs]
         log = telemetry.get_tracelog()
@@ -253,35 +282,53 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # -- job lookup (pool- or queue-backed) ----------------------------
 
+    def _state(self, job_id: str
+               ) -> Tuple[str, Optional[int], Dict[str, Any]]:
+        """``(status, queue id, extras)`` for one job in either backend;
+        the queue id is ``None`` for pool-backed jobs."""
+        if self.queue is None:
+            return self.pool.status(job_id), None, {}
+        try:
+            queue_id = int(job_id)
+        except ValueError:
+            return "unknown", None, {}
+        row = self.queue.status(queue_id)
+        if row is None:
+            return "unknown", None, {}
+        return _QUEUE_STATUS[row["state"]], queue_id, {
+            "queue_state": row["state"], "attempts": row["attempts"]}
+
     def _lookup(self, job_id: str
                 ) -> Tuple[str, Optional[JobResult], Dict[str, Any]]:
         """``(status, result, extras)`` for one job in either backend."""
-        if self.queue is not None:
-            try:
-                queue_id = int(job_id)
-            except ValueError:
-                return "unknown", None, {}
-            row = self.queue.status(queue_id)
-            if row is None:
-                return "unknown", None, {}
-            status = _QUEUE_STATUS[row["state"]]
-            result = self.queue.result(queue_id) \
-                if status == "done" else None
-            return status, result, {"queue_state": row["state"],
-                                    "attempts": row["attempts"]}
-        status = self.pool.status(job_id)
-        return status, self.pool.result(job_id), {}
+        status, queue_id, extras = self._state(job_id)
+        if status != "done":
+            return status, None, extras
+        if queue_id is None:
+            return status, self.pool.result(job_id), extras
+        return status, self.queue.result(queue_id), extras
 
     def _serve_job(self, job_id: str) -> None:
-        status, result, extras = self._lookup(job_id)
+        status, queue_id, extras = self._state(job_id)
         if status == "unknown":
             self._error(404, f"unknown job id {job_id!r}")
             return
-        payload = {"id": job_id, "status": status,
-                   "result": result.to_dict() if result is not None
-                   else None}
-        payload.update(extras)
-        self._send_json(200, payload)
+        result: Optional[bytes] = None
+        if status == "done" and queue_id is None:
+            result = json.dumps(self.pool.result(job_id).to_dict(),
+                                sort_keys=True).encode("utf-8")
+        elif status == "done":
+            try:
+                result = self.queue.result_json(queue_id)
+            except ValueError as error:  # a row this version cannot read
+                self._error(500, f"job {job_id}: {error}")
+                return
+        # Splice the result into the envelope: a finished job's result
+        # is sent as stored, not decoded and re-encoded.
+        envelope = {"id": job_id, "status": status}
+        envelope.update(extras)
+        head = json.dumps(envelope, sort_keys=True)[:-1] + ', "result": '
+        self._send_body(200, head.encode("utf-8"), result or b"null", b"}")
 
     # -- SSE -----------------------------------------------------------
 
