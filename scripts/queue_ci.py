@@ -3,8 +3,9 @@
 
 The scenario the queue exists for, end to end, with a real fault:
 
-1. Materialize a slice of the student corpus and run it through
-   ``repro batch`` single-shot — the ground truth.
+1. Materialize a slice of the student corpus and run it in-process on
+   a bare worker pool (``run_batch``, no queue involved) — the ground
+   truth, independent of the queue's result storage.
 2. Submit the same corpus to a fresh queue (``repro queue submit``),
    start **two** node processes (``python -m repro.service.node``) with
    a short lease and a shared cache directory, and SIGKILL one of them
@@ -21,7 +22,7 @@ The gate then asserts the durability contract:
   (``done == total``), completions are fenced, and the two nodes'
   completed counts sum to the job count.
 * **Identical answers** — each job's result (status, payload, error;
-  wall-clock fields excluded) is equal to the single-shot baseline's.
+  wall-clock fields excluded) is equal to the in-process baseline's.
 
 Exit status 0 iff every check passes.  Usage::
 
@@ -40,7 +41,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench.students import population_sources
-from repro.service import JobQueue
+from repro.service import Job, JobQueue, run_batch
 
 
 def _env():
@@ -77,22 +78,23 @@ def deterministic_payload(result_dict):
             for key in ("status", "kind", "source_name", "result", "error")}
 
 
-def run_baseline(corpus_dir, workers):
-    """``repro batch`` single-shot: source_name -> canonical payload."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "batch", corpus_dir,
-         "--arg", "40", "--json", "--workers", str(workers)],
-        capture_output=True, text=True, env=_env())
-    if proc.returncode != 0:
-        print(f"FAIL: baseline batch exited {proc.returncode}:\n"
-              f"{proc.stderr}", file=sys.stderr)
-        return None
+def run_baseline(paths, workers):
+    """The corpus on a fresh pool, no queue and no cache: source_name
+    -> canonical payload.  The jobs match what ``repro queue submit
+    <dir> --arg 40`` enqueues."""
+    jobs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            jobs.append(Job("repair", handle.read(), source_name=path,
+                            args=(40,)))
     baseline = {}
-    for line in proc.stdout.splitlines():
-        if not line.strip():
-            continue
-        result = json.loads(line)
-        baseline[result["source_name"]] = deterministic_payload(result)
+    for _job_id, job, result in run_batch(jobs, workers=workers):
+        if result.status != "ok" \
+                or not (result.result or {}).get("converged"):
+            print(f"FAIL: baseline {job.source_name}: {result.status} "
+                  f"{result.error}", file=sys.stderr)
+            return None
+        baseline[job.source_name] = deterministic_payload(result.to_dict())
     return baseline
 
 
@@ -110,16 +112,16 @@ def run_gate(workdir, count, workers, lease, budget_s):
     corpus_dir = os.path.join(workdir, "corpus")
     queue_path = os.path.join(workdir, "queue.db")
     cache_dir = os.path.join(workdir, "cache")
-    write_corpus(corpus_dir, count)
+    paths = write_corpus(corpus_dir, count)
 
-    baseline = run_baseline(corpus_dir, workers)
+    baseline = run_baseline(paths, workers)
     if baseline is None:
         return 1
     if len(baseline) != count:
         print(f"FAIL: baseline produced {len(baseline)} results "
               f"for {count} programs", file=sys.stderr)
         return 1
-    print(f"ok: baseline batch answered {len(baseline)} program(s)")
+    print(f"ok: in-process baseline answered {len(baseline)} program(s)")
 
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "queue", "submit", corpus_dir,
@@ -201,7 +203,7 @@ def run_gate(workdir, count, workers, lease, budget_s):
         name = recovered["source_name"]
         if recovered != baseline.get(name):
             print(f"FAIL: {name}: crash-recovered result differs from "
-                  f"the single-shot baseline", file=sys.stderr)
+                  f"the in-process baseline", file=sys.stderr)
             mismatched += 1
     if mismatched:
         failures += mismatched

@@ -21,9 +21,11 @@ Examples::
 
 The batch service verbs (``batch``, ``serve``, ``queue``) and the
 ``--json`` output mode of ``detect``/``repair`` all speak the same
-machine-readable schema (:class:`repro.service.jobs.JobResult`).  With
-``--queue`` the work lands in a durable SQLite-WAL queue that any number
-of ``serve --queue`` nodes drain cooperatively (DESIGN.md §13).
+machine-readable schema (:class:`repro.service.jobs.JobResult`).  Every
+``batch`` and ``serve`` job is a row of a SQLite-WAL queue drained by a
+local node; with ``--queue`` that queue is a durable file any number of
+``serve --queue`` nodes drain cooperatively (DESIGN.md §13), without it
+a private one deleted when the command ends.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional, Sequence, Tuple
+import tempfile
+from typing import Any, List, Optional, Sequence
 
 from . import telemetry
 from .bench import harness
@@ -453,11 +456,22 @@ def _write_repaired(options: argparse.Namespace, source_name: str,
             handle.write(result.result["repaired_source"])
 
 
-def _cmd_batch_queue(options: argparse.Namespace) -> int:
-    """``batch --queue``: checkpoint the corpus in the durable queue and
-    drain it with a local node.  Interrupt at any point — including
-    SIGKILL — and re-run with ``--resume``: completed jobs keep their
-    results, only the remainder executes."""
+def _cmd_batch(options: argparse.Namespace) -> int:
+    """``batch``: every job becomes a queue row, drained by a local
+    node.  With ``--queue`` the queue is a durable checkpoint: interrupt
+    at any point — including SIGKILL — and re-run with ``--resume``;
+    completed jobs keep their results, only the remainder executes.
+    Without it the queue is private to this run and deleted after."""
+    if options.resume and not options.queue:
+        raise _Diagnostic("error: --resume requires --queue (the batch "
+                          "checkpoint lives in the queue database)")
+    if options.queue:
+        return _run_batch(options, options.queue)
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as private:
+        return _run_batch(options, os.path.join(private, "queue.db"))
+
+
+def _run_batch(options: argparse.Namespace, queue_path: str) -> int:
     from .service import (
         JobQueue,
         JobResult,
@@ -471,7 +485,7 @@ def _cmd_batch_queue(options: argparse.Namespace) -> int:
     jobs = _batch_jobs(options)
     if options.output_dir:
         os.makedirs(options.output_dir, exist_ok=True)
-    queue = JobQueue(options.queue, lease_s=options.lease,
+    queue = JobQueue(queue_path, lease_s=options.lease,
                      max_attempts=options.max_attempts)
     batch_id = options.batch_id or derive_batch_id(jobs)
     already_done = {row["source_name"]
@@ -480,7 +494,7 @@ def _cmd_batch_queue(options: argparse.Namespace) -> int:
     if already_done and not options.resume:
         raise _Diagnostic(
             f"error: batch {batch_id} already has "
-            f"{len(already_done)} finished job(s) in {options.queue}; "
+            f"{len(already_done)} finished job(s) in {queue_path}; "
             "re-run with --resume to continue it (or --batch-id for a "
             "fresh batch)")
     import time as _time
@@ -500,17 +514,24 @@ def _cmd_batch_queue(options: argparse.Namespace) -> int:
                             max_mb=options.cache_max_mb)
     worker = QueueWorker(queue, workers=options.workers, cache=cache,
                          lease_s=options.lease)
+    interrupted = False
     try:
         worker.run_until_drained(batch_id)
     except KeyboardInterrupt:
+        # First ^C: stop claiming, drain in-flight jobs, release the
+        # rest, report what finished.  A second ^C aborts the drain.
+        interrupted = True
+        print("interrupted: draining in-flight jobs (^C again to abort)",
+              file=sys.stderr)
         worker.stop()
         remaining = queue.unfinished(batch_id)
-        print(f"interrupted: {remaining} job(s) unfinished; re-run with "
-              "--resume to continue this batch", file=sys.stderr)
-        return 1
+        hint = ("; re-run with --resume to continue this batch"
+                if options.queue else "")
+        print(f"interrupted: {remaining} job(s) unfinished{hint}",
+              file=sys.stderr)
     results = []
     for row in queue.batch_rows(batch_id):
-        if row["result"] is None:  # pragma: no cover - defensive
+        if row["result"] is None:  # released unfinished by a ^C
             continue
         result = JobResult.from_dict(row["result"])
         results.append(result)
@@ -529,64 +550,6 @@ def _cmd_batch_queue(options: argparse.Namespace) -> int:
         print(f"cache: hits {cache.stats.hits}/{cache.stats.lookups}, "
               f"evictions {cache.stats_dict()['evictions']}",
               file=sys.stderr)
-    return _batch_report(options, results)
-
-
-def _cmd_batch(options: argparse.Namespace) -> int:
-    from .service import ResultCache, WorkerPool
-
-    if options.resume and not options.queue:
-        raise _Diagnostic("error: --resume requires --queue (the batch "
-                          "checkpoint lives in the queue database)")
-    if options.queue:
-        return _cmd_batch_queue(options)
-    _enable_trace_log(options)
-    jobs = _batch_jobs(options)
-    cache = None
-    if not options.no_cache:
-        cache = ResultCache(options.cache_dir,
-                            max_mb=options.cache_max_mb)
-    if options.output_dir:
-        os.makedirs(options.output_dir, exist_ok=True)
-
-    order = {id(job): index for index, job in enumerate(jobs)}
-    collected: List[Optional[Tuple[str, "Job", Any]]] = [None] * len(jobs)
-    interrupted = False
-    with WorkerPool(workers=options.workers, cache=cache) as pool:
-        ids = [pool.submit(job) for job in jobs]
-        _emit_submit_spans(jobs, ids)
-        id_to_job = dict(zip(ids, jobs))
-        remaining = set(ids)
-        while remaining:
-            try:
-                item = pool.next_completed(timeout=0.2)
-            except KeyboardInterrupt:
-                if interrupted:
-                    raise  # second ^C: abandon the drain
-                interrupted = True
-                cancelled = pool.cancel_pending()
-                print(f"interrupted: cancelled {len(cancelled)} queued "
-                      "job(s), draining in-flight jobs "
-                      "(^C again to abort)", file=sys.stderr)
-                continue
-            if item is None:
-                continue
-            job_id, result = item
-            if job_id not in remaining:
-                continue
-            remaining.discard(job_id)
-            job = id_to_job[job_id]
-            collected[order[id(job)]] = (job_id, job, result)
-            if not options.json or options.verbose:
-                print(result.describe(), file=sys.stderr)
-            _write_repaired(options, job.source_name, result)
-
-    results = [entry[2] for entry in collected if entry is not None]
-    if cache is not None:
-        stats = cache.stats
-        print(f"cache hits {stats.hits}/{stats.lookups} "
-              f"({stats.hit_rate:.0%}), evictions "
-              f"{cache.stats_dict()['evictions']}", file=sys.stderr)
     code = _batch_report(options, results)
     return 1 if interrupted else code
 
@@ -877,7 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="run a job over many programs on a worker pool")
+        help="run a job over many programs through a queue and a "
+             "worker pool")
     add_job_args(p_batch)
     p_batch.add_argument("--workers", type=int, default=1,
                          help="worker processes (default 1)")
@@ -896,8 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "deduplication) entirely")
     p_batch.add_argument("--queue", metavar="PATH",
                          help="checkpoint the batch in this durable queue "
-                              "database and drain it with a local node; "
-                              "an interrupted run continues with --resume")
+                              "database (default: a private queue deleted "
+                              "after the run); an interrupted run "
+                              "continues with --resume")
     p_batch.add_argument("--resume", action="store_true",
                          help="continue an interrupted --queue batch: "
                               "finished jobs keep their results, only "
@@ -922,8 +887,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_args(p_serve)
     p_serve.add_argument("--queue", metavar="PATH", default=None,
                          help="pull jobs from this durable queue database "
-                              "(run several nodes against one file); "
-                              "POST /jobs submissions land in the queue")
+                              "(run several nodes against one file; "
+                              "default: a private queue deleted on "
+                              "shutdown); POST /jobs submissions land in "
+                              "the queue")
     p_serve.add_argument("--node-id", default=None,
                          help="this node's lease-owner identity "
                               "(default: node-<pid>)")

@@ -11,9 +11,10 @@ distributed and durable — job runner:
   graceful cancellation;
 * :mod:`~repro.service.cache` — a content-addressed result cache keyed
   on the canonical (parse → pretty-print) source text;
-* :mod:`~repro.service.store` — the cache's durable layer: sharded
-  one-file-per-key stores with optional LRU size bounding, shared by
-  every node pointed at the same directory;
+* :mod:`~repro.service.store` — where cache entries live: sharded
+  one-file-per-key directory stores with optional LRU size bounding,
+  shared by every node pointed at the same directory (or a private
+  in-process dict);
 * :mod:`~repro.service.queue` — a SQLite-WAL persistent job queue with
   leases, heartbeats, retry budgets and fenced exactly-once completion;
 * :mod:`~repro.service.node` — a queue worker node (claim → pool →
@@ -48,7 +49,7 @@ from .queue import (
     derive_batch_id,
 )
 from .server import ServiceServer, serve
-from .store import CacheStore, DirectoryStore, NullStore, open_store
+from .store import CacheStore, DirectoryStore, MemoryStore, open_store
 
 __all__ = [
     "JOB_KINDS",
@@ -60,7 +61,7 @@ __all__ = [
     "canonical_source",
     "CacheStore",
     "DirectoryStore",
-    "NullStore",
+    "MemoryStore",
     "open_store",
     "PoolStats",
     "WorkerPool",

@@ -19,15 +19,17 @@ Sources that do not even parse fall back to a key over the raw bytes:
 their (deterministic) lex/parse error results are still cacheable, but no
 normalization is possible.
 
-Entries live in two layers: an in-process memory dict (the L1 — always
-on, immutable entries, lives as long as the process) and, when a
-directory is given, a durable :class:`~repro.service.store.CacheStore`
-(the L2 — sharded one-file-per-key JSON written atomically), so caches
-survive across processes *and are shared across nodes*: the keys are
-content addresses, so every ``repro serve --queue`` node pointed at the
-same store directory serves every other node's hits verbatim.  The L2
-can be size-bounded (``max_mb``) with least-recently-used eviction; see
-:mod:`repro.service.store`.  Only deterministic results are stored
+Entries live in exactly one place, the cache's
+:class:`~repro.service.store.CacheStore`; the cache itself keeps none.
+With a directory that is a :class:`~repro.service.store.DirectoryStore`
+(sharded one-file-per-key JSON written atomically), so caches survive
+across processes *and are shared across nodes*: the keys are content
+addresses, so every ``repro serve`` node pointed at the same store
+directory serves every other node's hits verbatim, and an entry evicted
+from the directory (``max_mb``, least-recently-used; see
+:mod:`repro.service.store`) is a miss everywhere.  Without a directory
+a :class:`~repro.service.store.MemoryStore` holds the entries for the
+life of the cache.  Only deterministic results are stored
 (``JobResult.is_deterministic``): timeouts, crashes and cancellations
 always re-execute.
 """
@@ -39,7 +41,7 @@ import json
 from typing import Any, Dict, Optional
 
 from .jobs import Job, JobResult
-from .store import CacheStore, NullStore, open_store
+from .store import CacheStore, open_store
 
 
 def canonical_source(source: str, source_name: str = "<cache>") -> str:
@@ -82,7 +84,8 @@ class CacheStats:
 class ResultCache:
     """Content-addressed store of :class:`JobResult` dictionaries.
 
-    ``path=None`` keeps everything in memory; otherwise ``path`` is a
+    ``path=None`` keeps everything in a process-private
+    :class:`~repro.service.store.MemoryStore`; otherwise ``path`` is a
     directory managed by a :class:`~repro.service.store.DirectoryStore`
     (sharded one-file-per-key JSON) that any number of processes and
     nodes share.  ``max_mb`` bounds the directory with LRU eviction.
@@ -100,7 +103,6 @@ class ResultCache:
         self.path = path
         self.store = store if store is not None \
             else open_store(path, max_mb=max_mb)
-        self._memory: Dict[str, Dict[str, Any]] = {}
         self.stats = CacheStats()
 
     # -- keys ----------------------------------------------------------
@@ -125,21 +127,16 @@ class ResultCache:
     # -- lookups -------------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored result dict for ``key``, or ``None`` on a miss."""
-        entry = self._memory.get(key)
-        if entry is None:
-            entry = self.store.read(key)
-            if entry is not None and entry.get("schema") != JobResult.SCHEMA:
-                entry = None
-            if entry is not None:
-                self._memory[key] = entry
-        if entry is None:
+        """The stored result dict for ``key``, or ``None`` on a miss.
+
+        The store reads a fresh dict every time, so callers annotating
+        the result (cached=True, worker pid) never mutate the entry."""
+        entry = self.store.read(key)
+        if entry is None or entry.get("schema") != JobResult.SCHEMA:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        # A copy, so callers annotating the result (cached=True, worker
-        # pid) never mutate the stored entry.
-        return json.loads(json.dumps(entry))
+        return entry
 
     def put(self, key: str, result: JobResult) -> bool:
         """Store a completed result; returns False (and stores nothing)
@@ -154,15 +151,16 @@ class ResultCache:
         entry["coalesced"] = False
         entry["worker_pid"] = None
         entry["trace_id"] = None
-        self._memory[key] = entry
         self.store.write(key, entry)
         self.stats.stores += 1
         return True
 
-    def lookup(self, job: Job) -> Optional[JobResult]:
+    def lookup(self, job: Job, key: Optional[str] = None
+               ) -> Optional[JobResult]:
         """``get`` + rehydration: the result for ``job`` marked as a
-        cache hit, or ``None``."""
-        entry = self.get(self.key_for(job))
+        cache hit, or ``None``.  Pass ``key`` when the caller already
+        has ``key_for(job)`` — deriving it parses the source."""
+        entry = self.get(key if key is not None else self.key_for(job))
         if entry is None:
             return None
         hit = JobResult.from_dict(entry)
@@ -173,8 +171,6 @@ class ResultCache:
         return hit
 
     def __len__(self) -> int:
-        if isinstance(self.store, NullStore):
-            return len(self._memory)
         return self.store.count()
 
     def stats_dict(self) -> Dict[str, Any]:

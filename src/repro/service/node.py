@@ -62,7 +62,6 @@ class QueueWorker:
         #: loop waits on it (``poll_s`` at most) between rounds.
         self._wake = threading.Event()
         self.pool = WorkerPool(workers=workers, cache=cache,
-                               keep_stream=True,
                                on_complete=self._wake.set)
         #: pool job id -> queue id, for every lease this node holds.
         self._in_flight: Dict[str, int] = {}

@@ -23,12 +23,15 @@ Supervision protocol: each worker owns a private duplex pipe.  The
 parent sends ``(job_id, job_dict)``; the worker answers
 ``(job_id, result_dict)``.  Private pipes mean a killed worker can only
 ever corrupt its own channel — which the parent discards when it spawns
-the replacement — never the rest of the pool.  The dispatcher thread
-sleeps in one ``connection.wait`` over the busy workers' pipes plus a
-self-pipe (a socketpair) that :meth:`WorkerPool.submit` writes a byte
-to, so a submission and a result both wake it at once;
-``poll_interval_s`` only bounds how late a deadline or an idle worker's
-death is noticed.
+the replacement — never the rest of the pool.  A forked worker first
+closes the parent-side pipe ends it inherited (its own and its elder
+siblings'), so when the parent dies — even by SIGKILL — the worker's
+``recv`` sees EOF and it exits instead of lingering as an orphan.  The
+dispatcher thread sleeps in one ``connection.wait`` over the busy
+workers' pipes plus a self-pipe (a socketpair) that
+:meth:`WorkerPool.submit` writes a byte to, so a submission and a
+result both wake it at once; ``poll_interval_s`` only bounds how late a
+deadline or an idle worker's death is noticed.
 
 Start method: ``fork`` where available (Linux).  Unlike spawn/forkserver
 it never re-imports the parent's ``__main__`` — so pools work from
@@ -38,6 +41,12 @@ The initial workers are forked before the dispatcher thread exists, so
 the usual fork-with-threads hazards apply only to replacement workers,
 which run a self-contained loop over an inherited pipe.
 ``REPRO_POOL_START`` overrides for debugging.
+
+The pool keeps no per-job state past completion: a result is handed to
+the completion stream (``next_completed`` / ``run``) and every record
+of the job is dropped, so a long-lived pool's memory does not grow with
+the number of jobs it has run.  Results that must outlive the stream
+belong in the durable queue or the cache.
 """
 
 from __future__ import annotations
@@ -68,6 +77,16 @@ def _pick_start_method() -> str:
                              f"{methods}")
         return override
     return "fork" if "fork" in methods else "spawn"
+
+
+def _worker_process(conn_, inherited) -> None:
+    """Forked child entry: close the ``inherited`` parent-side pipe ends
+    (and the dispatcher's wake pair), which would otherwise keep this
+    worker's own pipe — and its elder siblings' — open after the
+    parent dies, then run :func:`_worker_main`."""
+    for end in inherited:
+        end.close()
+    _worker_main(conn_)
 
 
 def _worker_main(conn_) -> None:
@@ -259,19 +278,18 @@ class WorkerPool:
     Typical batch use::
 
         with WorkerPool(workers=4, cache=ResultCache()) as pool:
-            for job_id, result in pool.run(jobs):
+            for job_id, job, result in pool.run(jobs):
                 ...
 
-    Long-lived use (the HTTP server): ``submit`` from any thread, read
-    ``status(job_id)`` / ``result(job_id)`` until done.  ``on_complete``
-    is called (under the pool lock, so it must not block) after every
-    completion is published — the queue node uses it to wake its loop.
+    Long-lived use (the queue node): ``submit`` from any thread and
+    consume ``next_completed``.  ``on_complete`` is called (under the
+    pool lock, so it must not block) after every completion is
+    published — the queue node uses it to wake its loop.
     """
 
     def __init__(self, workers: int = 1,
                  cache: Optional[ResultCache] = None,
                  poll_interval_s: float = 0.02,
-                 keep_stream: bool = True,
                  on_complete: Optional[Callable[[], None]] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -282,8 +300,8 @@ class WorkerPool:
         self._handles: List[_WorkerHandle] = []
         self._lock = threading.RLock()
         self._pending: deque = deque()              # job ids awaiting dispatch
+        #: every submitted, not yet completed job.
         self._jobs: Dict[str, Job] = {}
-        self._results: Dict[str, JobResult] = {}
         self._running: set = set()
         #: cache-key → owner job id, for every queued/in-flight cacheable
         #: job; twins submitted while the owner is unresolved wait here.
@@ -295,7 +313,6 @@ class WorkerPool:
         self._submit_epoch: Dict[str, float] = {}
         #: completion stream for run()/next_completed() consumers.
         self._completed: "queue.Queue[Tuple[str, JobResult]]" = queue.Queue()
-        self._keep_stream = keep_stream
         self._on_complete = on_complete
         #: the dispatcher's self-pipe: ``submit`` and ``shutdown`` write
         #: a byte to ``_wake_w``; the dispatcher waits on ``_wake_r``.
@@ -316,7 +333,9 @@ class WorkerPool:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._handles = [self._spawn() for _ in range(self.workers)]
+        self._handles = []
+        for _ in range(self.workers):  # each fork sees its elder siblings
+            self._handles.append(self._spawn())
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-pool-dispatch", daemon=True)
         self._dispatcher.start()
@@ -370,16 +389,17 @@ class WorkerPool:
         """
         if not self._started:
             raise RuntimeError("pool is not started")
+        # The key (a parse + pretty-print of the source) is derived
+        # once, and outside the lock.
+        key = self.cache.key_for(job) if self.cache is not None else None
         with self._lock:
             self._counter += 1
             job_id = f"job-{self._counter:06d}"
             self._jobs[job_id] = job
             self._submit_epoch[job_id] = time.time()
             self.stats.submitted += 1
-            key = None
-            if self.cache is not None:
-                key = self.cache.key_for(job)
-                hit = self.cache.lookup(job)
+            if key is not None:
+                hit = self.cache.lookup(job, key)
                 if hit is not None:
                     self._finish(job_id, hit)
                     return job_id
@@ -414,20 +434,6 @@ class WorkerPool:
 
     # -- consumption ---------------------------------------------------
 
-    def status(self, job_id: str) -> str:
-        with self._lock:
-            if job_id in self._results:
-                return "done"
-            if job_id in self._running:
-                return "running"
-            if job_id in self._jobs:
-                return "queued"
-            return "unknown"
-
-    def result(self, job_id: str) -> Optional[JobResult]:
-        with self._lock:
-            return self._results.get(job_id)
-
     def next_completed(self, timeout: Optional[float] = None
                        ) -> Optional[Tuple[str, JobResult]]:
         """The next finished (job id, result), or ``None`` on timeout."""
@@ -439,16 +445,15 @@ class WorkerPool:
     def run(self, jobs: Iterable[Job]
             ) -> Iterator[Tuple[str, Job, JobResult]]:
         """Submit a batch and yield completions as they happen."""
-        ids = [self.submit(job) for job in jobs]
-        remaining = set(ids)
+        remaining = {self.submit(job): job for job in jobs}
         while remaining:
             item = self.next_completed(timeout=1.0)
             if item is None:
                 continue
             job_id, result = item
-            if job_id in remaining:
-                remaining.discard(job_id)
-                yield job_id, self._jobs[job_id], result
+            job = remaining.pop(job_id, None)
+            if job is not None:
+                yield job_id, job, result
 
     # -- observability -------------------------------------------------
 
@@ -504,8 +509,12 @@ class WorkerPool:
 
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(target=_worker_main,
-                                    args=(child_conn,),
+        inherited = []  # only a forked child has copies to close
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn, self._wake_r, self._wake_w]
+            inherited += [handle.conn for handle in self._handles]
+        process = self._ctx.Process(target=_worker_process,
+                                    args=(child_conn, inherited),
                                     name="repro-pool-worker", daemon=True)
         process.start()
         child_conn.close()
@@ -656,19 +665,19 @@ class WorkerPool:
             pass
 
     def _finish(self, job_id: str, result: JobResult) -> None:
-        """Record a completion; store it, publish it, fan out twins.
+        """Record a completion; store it, publish it, fan out twins,
+        and forget the job.
 
         Caller holds ``self._lock``.
         """
         self._running.discard(job_id)
         self._submit_epoch.pop(job_id, None)
-        trace = telemetry.TraceContext.from_dict(self._jobs[job_id].trace)
+        job = self._jobs.pop(job_id)
+        trace = telemetry.TraceContext.from_dict(job.trace)
         if trace is not None and result.trace_id is None:
             result.trace_id = trace.trace_id
-        self._results[job_id] = result
         self.stats.record(result)
-        if self._keep_stream:
-            self._completed.put((job_id, result))
+        self._completed.put((job_id, result))
         if self._on_complete is not None:
             self._on_complete()
         key = self._owner_key.pop(job_id, None)

@@ -1,4 +1,11 @@
-"""``repro serve`` — the HTTP front-end over the pool and the queue.
+"""``repro serve`` — the HTTP front-end over the durable job queue.
+
+Every job goes through a :class:`~repro.service.queue.JobQueue` and is
+executed by this process's :class:`~repro.service.node.QueueWorker`
+(and, on a shared queue, by any other node).  With ``--queue`` the
+queue is that shared file; without it the server opens a private queue
+in a temporary directory and deletes it on close.  A job's result lives
+in its queue row, and only there.
 
 Endpoints, JSON in and out (SSE for the event stream):
 
@@ -6,18 +13,16 @@ Endpoints, JSON in and out (SSE for the event stream):
     Submit a batch.  Body: ``{"jobs": [<job dict>, ...]}`` (or a single
     job dict); each job dict is :meth:`repro.service.jobs.Job.to_dict`
     shaped — ``kind`` and ``source`` required, everything else optional.
-    Response: ``{"ids": [...], "submitted": N}``, HTTP 202.  Without
-    ``--queue`` the jobs go straight to this node's worker pool; with it
-    they land in the shared durable queue, where *any* node may execute
-    them.  Mutating endpoints honour ``--auth-token`` (401 without the
-    matching ``Authorization: Bearer``) and the per-tenant token-bucket
-    rate limit (429 when a tenant's bucket is empty).
+    Response: ``{"ids": [...], "submitted": N}``, HTTP 202; the ids are
+    queue ids (integers).  Mutating endpoints honour ``--auth-token``
+    (401 without the matching ``Authorization: Bearer``) and the
+    per-tenant token-bucket rate limit (429 when a tenant's bucket is
+    empty).
 
 ``GET /jobs/<id>``
-    Poll one job: ``{"id", "status": queued|running|done|unknown,
-    "result": <JobResult dict> | null}``.  Queue-backed jobs also carry
-    ``queue_state`` (queued/leased/done/failed/cancelled) and
-    ``attempts``.
+    Poll one job: ``{"id", "status": queued|running|done,
+    "queue_state": queued|leased|done|failed|cancelled, "attempts",
+    "result": <JobResult dict> | null}``; 404 for an unknown id.
 
 ``GET /jobs/<id>/events``
     Server-sent events (``text/event-stream``): a ``status`` event per
@@ -28,8 +33,8 @@ Endpoints, JSON in and out (SSE for the event stream):
 
 ``GET /healthz``
     Readiness for load balancers: 200 with ``{"status": "ok"}`` when
-    the queue (if attached) answers and at least one worker process is
-    alive; 503 with the failing component otherwise.
+    the queue answers and at least one worker process is alive; 503
+    with the failing component otherwise.
 
 ``GET /stats``, ``GET /metrics``
     Pool throughput / telemetry aggregation, as before, extended with
@@ -44,15 +49,18 @@ generated errors, is JSON with an explicit ``Content-Length``
 and body — leaves in a single socket write, and accepted sockets set
 ``TCP_NODELAY``: with headers and body as two small writes, Nagle's
 algorithm holds the body until the client ACKs the headers, and the
-client's delayed ACK adds ~40 ms to every request.  A finished queue
-job's ``GET /jobs/<id>`` body is built around the stored result text
+client's delayed ACK adds ~40 ms to every request.  A finished job's
+``GET /jobs/<id>`` body is built around the stored result text
 (:meth:`JobQueue.result_json`), never decoded and re-encoded.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import signal
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,7 +90,7 @@ _QUEUE_STATUS = {"queued": "queued", "leased": "running", "done": "done",
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """Request handler bound to the server's pool via ``self.server``."""
+    """Request handler bound to the server's queue via ``self.server``."""
 
     server_version = "repro-serve/2.0"
     protocol_version = "HTTP/1.1"
@@ -92,11 +100,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------
 
     @property
-    def pool(self) -> WorkerPool:
-        return self.server.pool  # type: ignore[attr-defined]
-
-    @property
-    def queue(self) -> Optional[JobQueue]:
+    def queue(self) -> JobQueue:
         return self.server.queue  # type: ignore[attr-defined]
 
     @property
@@ -224,12 +228,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         for job in jobs:
             if telemetry.TraceContext.from_dict(job.trace) is None:
                 job.trace = telemetry.TraceContext.mint().to_dict()
-        if self.queue is not None:
-            ids: List[Any] = [self.queue.submit(job, tenant=tenant)
-                              for job in jobs]
-            self.service.node.notify()  # claim now, not at the next poll
-        else:
-            ids = [self.pool.submit(job) for job in jobs]
+        ids = [self.queue.submit(job, tenant=tenant) for job in jobs]
+        self.service.node.notify()  # claim now, not at the next poll
         log = telemetry.get_tracelog()
         if log is not None:
             done = time.time()
@@ -280,14 +280,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         healthy, payload = self.service.health_snapshot()
         self._send_json(200 if healthy else 503, payload)
 
-    # -- job lookup (pool- or queue-backed) ----------------------------
+    # -- job lookup ----------------------------------------------------
 
     def _state(self, job_id: str
                ) -> Tuple[str, Optional[int], Dict[str, Any]]:
-        """``(status, queue id, extras)`` for one job in either backend;
-        the queue id is ``None`` for pool-backed jobs."""
-        if self.queue is None:
-            return self.pool.status(job_id), None, {}
+        """``(status, queue id, extras)`` for one job; an unknown id
+        reads ``("unknown", None, {})``."""
         try:
             queue_id = int(job_id)
         except ValueError:
@@ -300,12 +298,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _lookup(self, job_id: str
                 ) -> Tuple[str, Optional[JobResult], Dict[str, Any]]:
-        """``(status, result, extras)`` for one job in either backend."""
+        """``(status, result, extras)`` for one job."""
         status, queue_id, extras = self._state(job_id)
         if status != "done":
             return status, None, extras
-        if queue_id is None:
-            return status, self.pool.result(job_id), extras
         return status, self.queue.result(queue_id), extras
 
     def _serve_job(self, job_id: str) -> None:
@@ -314,10 +310,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job id {job_id!r}")
             return
         result: Optional[bytes] = None
-        if status == "done" and queue_id is None:
-            result = json.dumps(self.pool.result(job_id).to_dict(),
-                                sort_keys=True).encode("utf-8")
-        elif status == "done":
+        if status == "done":
             try:
                 result = self.queue.result_json(queue_id)
             except ValueError as error:  # a row this version cannot read
@@ -384,13 +377,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
 
 class ServiceServer:
-    """The pool/node + HTTP listener behind ``repro serve``.
+    """The queue node + HTTP listener behind ``repro serve``.
 
-    Without ``queue``: one self-contained node, jobs go to the local
-    pool.  With ``queue`` (a path or :class:`JobQueue`): submissions
-    land in the durable queue and a :class:`QueueWorker` attached to
-    this server pulls from it — alongside every other node pointed at
-    the same queue file.
+    Submissions land in a durable queue and a :class:`QueueWorker`
+    attached to this server pulls from it.  ``queue`` (a path or
+    :class:`JobQueue`) is shared with every other node pointed at the
+    same file; without it the server makes a private queue in a
+    temporary directory, which :meth:`close` deletes.
     """
 
     def __init__(self, workers: int = 1, host: str = "127.0.0.1",
@@ -403,21 +396,16 @@ class ServiceServer:
                  rate_burst: Optional[float] = None) -> None:
         self.auth_token = auth_token
         self.rate_limiter = RateLimiter(rate_limit, rate_burst)
-        self.node: Optional[QueueWorker] = None
-        self.queue: Optional[JobQueue] = None
-        if queue is not None:
-            self.node = QueueWorker(queue, workers=workers, cache=cache,
-                                    node_id=node_id, lease_s=lease_s)
-            self.queue = self.node.queue
-            self.pool = self.node.pool
-        else:
-            # No completion stream: HTTP clients poll GET /jobs/<id>, so
-            # an unconsumed stream queue would only grow without bound.
-            self.pool = WorkerPool(workers=workers, cache=cache,
-                                   keep_stream=False)
         self.httpd = ThreadingHTTPServer((host, port), ServiceHandler)
         self.httpd.daemon_threads = True
-        self.httpd.pool = self.pool  # type: ignore[attr-defined]
+        self._private_dir: Optional[str] = None
+        if queue is None:
+            self._private_dir = tempfile.mkdtemp(prefix="repro-serve-")
+            queue = os.path.join(self._private_dir, "queue.db")
+        self.node = QueueWorker(queue, workers=workers, cache=cache,
+                                node_id=node_id, lease_s=lease_s)
+        self.queue: JobQueue = self.node.queue
+        self.pool: WorkerPool = self.node.pool
         self.httpd.queue = self.queue  # type: ignore[attr-defined]
         self.httpd.service = self  # type: ignore[attr-defined]
 
@@ -432,39 +420,32 @@ class ServiceServer:
         snapshot = self.pool.stats_snapshot()
         snapshot["rate_limiter"] = self.rate_limiter.stats_dict()
         snapshot["auth"] = {"required": self.auth_token is not None}
-        if self.node is not None:
-            snapshot["node"] = self.node.stats_snapshot()
+        snapshot["node"] = self.node.stats_snapshot()
         return snapshot
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         metrics = self.pool.metrics_snapshot()
         metrics["rate_limiter"] = self.rate_limiter.stats_dict()
-        if self.node is not None:
-            node = self.node.stats_snapshot()
-            node.pop("queue", None)  # superseded by the gauges below
-            metrics["node"] = node
-        if self.queue is not None:
-            gauges = self.queue.gauges()
-            metrics["queue"] = gauges.pop("depth")
-            #: lease ages, retry totals and the per-process event
-            #: counters (dedupe hits, expired reclaims/failures).
-            metrics["queue_health"] = gauges
+        node = self.node.stats_snapshot()
+        node.pop("queue", None)  # superseded by the gauges below
+        metrics["node"] = node
+        gauges = self.queue.gauges()
+        metrics["queue"] = gauges.pop("depth")
+        #: lease ages, retry totals and the per-process event counters
+        #: (dedupe hits, expired reclaims/failures).
+        metrics["queue_health"] = gauges
         return metrics
 
     def health_snapshot(self) -> Tuple[bool, Dict[str, Any]]:
         """(healthy?, payload) for ``GET /healthz``."""
         pool_stats = self.pool.stats_snapshot()["pool"]["workers"]
         workers_ok = pool_stats["alive"] > 0
-        queue_ok = True
+        queue_ok = self.queue.ping()
         payload: Dict[str, Any] = {
             "workers": {"configured": pool_stats["configured"],
                         "alive": pool_stats["alive"]},
-            "queue": {"attached": self.queue is not None},
+            "queue": {"reachable": queue_ok, "path": self.queue.path},
         }
-        if self.queue is not None:
-            queue_ok = self.queue.ping()
-            payload["queue"]["reachable"] = queue_ok
-            payload["queue"]["path"] = self.queue.path
         healthy = workers_ok and queue_ok
         payload["status"] = "ok" if healthy else "unavailable"
         if not healthy:
@@ -475,22 +456,16 @@ class ServiceServer:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "ServiceServer":
-        """Start the pool/node and serve in a background thread (tests
-        and embedding; the CLI uses :meth:`serve_forever`)."""
-        if self.node is not None:
-            self.node.start()
-        else:
-            self.pool.start()
+        """Start the node and serve in a background thread (tests and
+        embedding; the CLI uses :meth:`serve_forever`)."""
+        self.node.start()
         thread = threading.Thread(target=self.httpd.serve_forever,
                                   name="repro-serve-http", daemon=True)
         thread.start()
         return self
 
     def serve_forever(self) -> None:
-        if self.node is not None:
-            self.node.start()
-        else:
-            self.pool.start()
+        self.node.start()
         try:
             self.httpd.serve_forever()
         except KeyboardInterrupt:
@@ -499,12 +474,14 @@ class ServiceServer:
             self.close()
 
     def close(self) -> None:
+        """Stop listening, then stop the node: in-flight jobs drain and
+        queued ones stay in the queue.  A private queue is deleted."""
         self.httpd.shutdown()
         self.httpd.server_close()
-        if self.node is not None:
-            self.node.stop()
-        else:
-            self.pool.shutdown()
+        self.node.stop()
+        if self._private_dir is not None:
+            self.queue.close()
+            shutil.rmtree(self._private_dir, ignore_errors=True)
 
 
 def serve(workers: int = 1, host: str = "127.0.0.1", port: int = 8321,
@@ -519,9 +496,10 @@ def serve(workers: int = 1, host: str = "127.0.0.1", port: int = 8321,
           trace_log: Optional[str] = None,
           announce=None) -> None:
     """Run the batch service until interrupted (the ``repro serve``
-    entry point).  The first SIGINT shuts down gracefully: the listener
-    stops, queued jobs are cancelled (pool mode) or released back to the
-    queue (queue mode) and in-flight jobs drain."""
+    entry point).  The first SIGINT (or a SIGTERM) shuts down
+    gracefully: the listener stops, in-flight jobs drain, and the jobs
+    this node had claimed but not started are released back to the
+    queue — where a private queue's leftovers are deleted with it."""
     if trace_log:
         telemetry.set_tracelog(trace_log, node=node_id)
     cache = ResultCache(cache_dir, max_mb=cache_max_mb) \

@@ -1,13 +1,17 @@
-"""Cache stores: where content-addressed result entries live on disk.
+"""Cache stores: where content-addressed result entries live.
 
 :class:`~repro.service.cache.ResultCache` owns the *keys* (sha256 of
-canonical source + semantic job fields) and the in-process memory layer;
-a store owns the shared, durable layer behind it.  The interface is
-three methods — :meth:`~CacheStore.read`, :meth:`~CacheStore.write`,
-:meth:`~CacheStore.count` — so alternative backends (an object store, a
-network cache) slot in without touching the cache logic.
+canonical source + semantic job fields); a store owns the entries, and
+is the only place they live — the cache keeps no copy of its own.  The
+interface is three methods — :meth:`~CacheStore.read`,
+:meth:`~CacheStore.write`, :meth:`~CacheStore.count` — so alternative
+backends (an object store, a network cache) slot in without touching
+the cache logic.  Every ``read`` returns a fresh dict, so callers may
+annotate what they get without touching the stored entry.
 
-:class:`DirectoryStore` is the production backend:
+:class:`MemoryStore` serves a cache without a directory: one process,
+entries kept as JSON text in a dict.  :class:`DirectoryStore` is the
+production backend:
 
 * **Sharded layout.**  Entries live at ``<root>/<key[:2]>/<key>.json``
   — 256 subdirectories, so a million-entry cache never puts a million
@@ -195,29 +199,35 @@ class DirectoryStore(CacheStore):
         self._size_bytes = total
 
 
-class NullStore(CacheStore):
-    """No durable layer: the cache is memory-only."""
+class MemoryStore(CacheStore):
+    """Entries as JSON text in a dict: the store of a cache without a
+    directory, private to one process and unbounded."""
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, str] = {}
 
     def read(self, key: str) -> Optional[Dict[str, Any]]:
-        return None
+        text = self._entries.get(key)
+        return None if text is None else json.loads(text)
 
     def write(self, key: str, entry: Dict[str, Any]) -> None:
-        return None
+        self._entries[key] = json.dumps(entry)
 
     def count(self) -> int:
-        return 0
+        return len(self._entries)
 
 
 def open_store(path: Optional[str],
                max_mb: Optional[float] = None) -> CacheStore:
-    """The store for a cache directory: ``None`` path → memory only;
-    ``max_mb`` bounds the on-disk size with LRU eviction."""
+    """The store for a cache directory: ``None`` path → a
+    :class:`MemoryStore`; ``max_mb`` bounds the on-disk size with LRU
+    eviction."""
     if path is None:
         if max_mb is not None:
             raise ValueError("max_mb requires a cache directory")
-        return NullStore()
+        return MemoryStore()
     max_bytes = None if max_mb is None else int(max_mb * 1024 * 1024)
     return DirectoryStore(path, max_bytes=max_bytes)
 
 
-__all__ = ["CacheStore", "DirectoryStore", "NullStore", "open_store"]
+__all__ = ["CacheStore", "DirectoryStore", "MemoryStore", "open_store"]

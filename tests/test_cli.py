@@ -1,10 +1,17 @@
 """The repro-repair command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import main
+from repro.service import JobQueue
+from tests.conftest import children_of, src_env
 
 RACY = """
 var x = 0;
@@ -277,6 +284,116 @@ class TestBatch:
         empty.mkdir()
         assert main(["batch", str(empty)]) == 2
         assert "no .hj files" in capsys.readouterr().err
+
+
+#: ~4 s of monitored array writes: long enough to interrupt mid-job.
+SLOW = """
+def main() {
+    var a = new int[64];
+    for (var round = 0; round < 2500; round = round + 1) {
+        for (var i = 0; i < 64; i = i + 1) {
+            a[i] = a[i] + round + %d;
+        }
+    }
+}
+"""
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestBatchInterrupt:
+    """First ^C: stop claiming, drain the in-flight job, release the
+    rest, exit 1.  Second ^C: abort."""
+
+    @pytest.fixture
+    def slow_corpus(self, tmp_path):
+        directory = tmp_path / "slow"
+        directory.mkdir()
+        for index in range(3):
+            (directory / f"s{index}.hj").write_text(SLOW % index)
+        return directory
+
+    def _launch(self, corpus, *extra):
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "batch", str(corpus),
+             "--kind", "detect", "--workers", "1", "--batch-id", "slow",
+             "--json", *extra],
+            env=src_env(), cwd=REPO, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+
+    @staticmethod
+    def _reported(out):
+        return [json.loads(line) for line in out.splitlines() if line]
+
+    def _wait_running(self, queue_path):
+        queue = JobQueue(queue_path)
+        deadline = time.monotonic() + 30.0
+        while queue.counts("slow")["leased"] == 0:
+            assert time.monotonic() < deadline, "no job was ever claimed"
+            time.sleep(0.02)
+        time.sleep(0.3)  # claimed -> dispatched to the worker
+        return queue
+
+    def test_first_interrupt_drains_and_releases(self, slow_corpus,
+                                                 tmp_path):
+        queue_path = str(tmp_path / "q.db")
+        proc = self._launch(slow_corpus, "--queue", queue_path)
+        try:
+            queue = self._wait_running(queue_path)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1, err
+        assert "draining in-flight jobs" in err
+        assert "re-run with --resume" in err
+        # The drained job is reported, not only stored.
+        [row] = self._reported(out)
+        assert row["status"] == "ok"
+        counts = queue.counts("slow")
+        assert counts["done"] == 1  # the in-flight job ran to its end
+        assert counts["queued"] == 2 and counts["leased"] == 0
+        assert counts["cancelled"] == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_private_queue_interrupt_has_no_resume_hint(self, slow_corpus):
+        proc = self._launch(slow_corpus)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not children_of(proc.pid):  # the pool has forked
+                assert time.monotonic() < deadline, "no pool worker"
+                time.sleep(0.02)
+            time.sleep(0.5)  # first job claimed and dispatched
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1, err
+        assert "draining in-flight jobs" in err
+        assert "2 job(s) unfinished" in err
+        assert "--resume" not in err
+        # The private queue is deleted on exit, so the drained job's
+        # answer must already be on stdout.
+        [row] = self._reported(out)
+        assert row["status"] == "ok"
+        assert row["source_name"].endswith("s0.hj")
+
+    def test_second_interrupt_aborts(self, slow_corpus, tmp_path):
+        queue_path = str(tmp_path / "q.db")
+        proc = self._launch(slow_corpus, "--queue", queue_path)
+        try:
+            queue = self._wait_running(queue_path)
+            proc.send_signal(signal.SIGINT)
+            line = ""
+            while "draining" not in line:
+                line = proc.stderr.readline()
+                assert line, "batch exited before draining"
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == -signal.SIGINT
+        assert queue.counts("slow")["done"] == 0  # the drain was cut
 
 
 class TestTimings:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.students import population_sources
 from repro.service import Job, ResultCache, WorkerPool, run_batch, run_job
+from tests.conftest import pool_job_state
 
 RACY = """
 var x = 0;
@@ -41,6 +42,10 @@ def main() {
 def _variant(index):
     """Distinct racy programs (different constants => different keys)."""
     return RACY.replace("x = 1", f"x = {index + 1}")
+
+
+def _busy_workers(pool):
+    return pool.stats_snapshot()["pool"]["workers"]["busy"]
 
 
 def _corpus_jobs(count=8, kind="repair"):
@@ -156,7 +161,7 @@ class TestSupervision:
         with WorkerPool(workers=1) as pool:
             crash = pool.submit(Job("detect", SLOW, source_name="doomed.hj"))
             deadline = time.monotonic() + 10.0
-            while pool.status(crash) != "running":
+            while not any(h.job_id == crash for h in pool._handles):
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
             victim = next(h.process.pid for h in pool._handles
@@ -180,7 +185,7 @@ class TestSupervision:
                                    timeout_s=30.0))
                    for i in range(4)]
             deadline = time.monotonic() + 10.0
-            while not any(pool.status(i) == "running" for i in ids):
+            while _busy_workers(pool) == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             cancelled = pool.cancel_pending()
@@ -202,9 +207,13 @@ class TestSupervision:
                             timeout_s=30.0))
             queued = pool.submit(Job("detect", _variant(9),
                                      source_name="queued.hj"))
-            pool.cancel_pending()
-            assert pool.result(queued) is not None or \
-                pool.status(queued) != "queued"
+            assert queued in pool.cancel_pending()
+            done = {}
+            while queued not in done:
+                item = pool.next_completed(timeout=60.0)
+                assert item is not None, "pool stalled"
+                done[item[0]] = item[1]
+            assert done[queued].status == "cancelled"
         assert cache.lookup(Job("detect", _variant(9))) is None
 
 
@@ -219,13 +228,40 @@ class TestPoolApi:
             pool.submit(Job("detect", RACY))
 
     def test_status_lifecycle(self):
+        # queued/running -> done: in flight until its completion is
+        # streamed, and then forgotten by the pool.
         with WorkerPool(workers=1) as pool:
-            assert pool.status("job-999999") == "unknown"
             job_id = pool.submit(Job("detect", RACY))
+            assert pool.stats_snapshot()["pool"]["in_flight"] == 1
             item = pool.next_completed(timeout=10.0)
             assert item is not None and item[0] == job_id
-            assert pool.status(job_id) == "done"
-            assert pool.result(job_id).status == "ok"
+            assert item[1].status == "ok"
+            assert pool.stats_snapshot()["pool"]["in_flight"] == 0
+            assert not any(pool_job_state(pool).values())
+            assert pool.next_completed(timeout=0.0) is None
+
+    def test_completed_jobs_leave_no_state(self):
+        # Executed, cached, coalesced, timed-out and cancelled jobs:
+        # once their results are consumed the pool holds none of them.
+        with WorkerPool(workers=1, cache=ResultCache()) as pool:
+            jobs = [Job("detect", RACY, source_name="a.hj"),
+                    Job("detect", "// twin\n" + RACY, source_name="b.hj"),
+                    Job("detect", SLOW, source_name="slow.hj",
+                        timeout_s=0.5),
+                    Job("detect", _variant(3), source_name="c.hj")]
+            statuses = sorted(r.status for _, _, r in pool.run(jobs))
+            assert statuses == ["ok", "ok", "ok", "timeout"]
+            hit = list(pool.run([Job("detect", RACY, source_name="d.hj")]))
+            assert hit[0][2].cached
+            pool.submit(Job("detect", SLOW, source_name="busy.hj",
+                            timeout_s=0.5))
+            pool.submit(Job("detect", _variant(4), source_name="e.hj"))
+            pool.cancel_pending()
+            for _ in range(2):
+                assert pool.next_completed(timeout=30.0) is not None
+            assert pool.stats.coalesced == 1
+            state = pool_job_state(pool)
+            assert not any(state.values()), state
 
     def test_stats_accumulate(self):
         cache = ResultCache()

@@ -27,6 +27,7 @@ from repro.service import (
     derive_batch_id,
     run_job,
 )
+from tests.conftest import alive, children_of, pool_job_state, src_env
 
 RACY = """
 var x = 0;
@@ -259,6 +260,27 @@ class TestQueueWorker:
                     node_id="n2").run_until_drained("b2")
         assert queue.result(queue_id).cached
 
+    def test_drained_node_holds_no_job_state(self, tmp_path):
+        # A long-lived node: each result lives in its queue row only;
+        # the node and its pool forget every job once it has landed.
+        queue = JobQueue(str(tmp_path / "q.db"))
+        worker = QueueWorker(queue, workers=2, cache=ResultCache(),
+                             node_id="n1").start()
+        try:
+            jobs = [make_job(n, kind="detect") for n in (1, 2, 3, 4, 1, 2)]
+            ids = [queue.submit(job) for job in jobs]
+            worker.notify()
+            deadline = time.monotonic() + 60.0
+            while queue.unfinished() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert queue.counts()["done"] == len(jobs)
+            assert all(queue.result(i).status == "ok" for i in ids)
+            state = pool_job_state(worker.pool)
+            assert not any(state.values()), state
+            assert worker.stats_snapshot()["in_flight"] == 0
+        finally:
+            worker.stop()
+
     def test_stop_releases_unfinished_leases(self, tmp_path):
         queue = JobQueue(str(tmp_path / "q.db"))
         queue_id = queue.submit(make_job())
@@ -270,6 +292,18 @@ class TestQueueWorker:
         worker.stop()
         assert worker.released == 1
         assert queue.status(queue_id)["state"] == "queued"
+
+
+#: the orphan checks list a process's children through Linux ``/proc``.
+HAVE_PROC = os.path.isdir("/proc")
+
+
+def _assert_exit_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(alive(pid) for pid in pids):
+        assert time.monotonic() < deadline, "orphaned pool workers: " \
+            f"{[pid for pid in pids if alive(pid)]}"
+        time.sleep(0.05)
 
 
 def _strip_clocks(value):
@@ -304,14 +338,11 @@ class TestCrashResume:
                             dedupe_key=batch_dedupe_key("b", job))
                for job in jobs]
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p)
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro.service.node",
              "--queue", queue_path, "--workers", "2",
              "--node-id", "victim", "--lease", "1.0"],
-            env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
+            env=src_env(), cwd=os.path.dirname(os.path.dirname(__file__)),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             # Wait until the victim actually holds leases, then kill it
@@ -323,9 +354,14 @@ class TestCrashResume:
                 time.sleep(0.02)
             else:
                 pytest.fail("victim node never leased a job")
+            workers = children_of(victim.pid) if HAVE_PROC else None
         finally:
             victim.kill()
             victim.wait(timeout=30)
+        if HAVE_PROC:
+            # Its pool workers see their pipes close and exit: no orphans.
+            assert len(workers) == 2
+            _assert_exit_within(workers, 5.0)
 
         leaked = queue.counts("b")
         assert leaked["done"] + leaked["leased"] + leaked["queued"] == total
@@ -344,3 +380,23 @@ class TestCrashResume:
                 queue.result(queue_id).to_dict())
             undisturbed = deterministic_payload(run_job(job).to_dict())
             assert recovered == undisturbed, job.source_name
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not HAVE_PROC, reason="needs /proc")
+    def test_sigkilled_idle_serve_leaves_no_workers(self, tmp_path):
+        # Idle workers sit in recv(); only the pipe's EOF can end them.
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "2", "--queue", str(tmp_path / "q.db")],
+            env=src_env(), cwd=os.path.dirname(os.path.dirname(__file__)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(children_of(serve.pid)) < 2:
+                assert time.monotonic() < deadline, "workers never forked"
+                time.sleep(0.05)
+            workers = children_of(serve.pid)
+        finally:
+            serve.kill()
+            serve.wait(timeout=30)
+        _assert_exit_within(workers, 5.0)

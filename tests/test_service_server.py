@@ -1,8 +1,10 @@
 """The ``repro serve`` HTTP front-end: submit, poll, stats, errors,
-queue mode, auth, rate limits, SSE progress and readiness."""
+private and shared queues, auth, rate limits, SSE progress, readiness
+and per-job state retention."""
 
 import http.client
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -10,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.service import Job, JobQueue, ResultCache, ServiceServer
+from tests.conftest import pool_job_state
 
 RACY = """
 var x = 0;
@@ -66,6 +69,7 @@ class TestSubmitAndPoll:
                       "source_name": "r.hj"}]})
         assert status == 202
         assert reply["submitted"] == 1
+        assert isinstance(reply["ids"][0], int)  # a private-queue id
         reply = _poll_done(server, reply["ids"][0])
         result = reply["result"]
         assert result["status"] == "ok"
@@ -228,12 +232,14 @@ class TestContentLength:
 
 
 class TestHealthz:
-    def test_ready_pool_mode(self, server):
+    def test_ready_private_queue(self, server):
         status, reply = _get(server, "/healthz")
         assert status == 200
         assert reply["status"] == "ok"
         assert reply["workers"]["alive"] >= 1
-        assert not reply["queue"]["attached"]
+        assert reply["queue"]["reachable"]
+        assert reply["queue"]["path"] == server.queue.path
+        assert os.path.exists(server.queue.path)
 
     def test_unreachable_queue_is_503(self, tmp_path):
         srv = ServiceServer(workers=1, port=0, cache=ResultCache(),
@@ -447,10 +453,54 @@ class TestEventStream:
             _get(queue_server, "/jobs/424242/events")
         assert info.value.code == 404
 
-    def test_pool_mode_streams_too(self, server):
+    def test_private_queue_streams_too(self, server):
         _, reply = _post(server, "/jobs",
                          {"kind": "detect", "source": RACY,
                           "source_name": "pool-sse.hj"})
         events = _read_sse(server, f"/jobs/{reply['ids'][0]}/events")
         assert events[-1][0] == "result"
         assert events[-1][1]["result"]["result"]["race_count"] == 1
+
+
+class TestPrivateQueue:
+    def test_close_deletes_the_private_queue(self):
+        srv = ServiceServer(workers=1, port=0)
+        srv.start()
+        directory = os.path.dirname(srv.queue.path)
+        _, reply = _post(srv, "/jobs", {"kind": "detect", "source": RACY})
+        _poll_done(srv, reply["ids"][0])
+        srv.close()
+        assert not os.path.exists(directory)
+
+    def test_shared_queue_survives_close(self, tmp_path):
+        path = str(tmp_path / "q.db")
+        srv = ServiceServer(workers=1, port=0, queue=path)
+        srv.start()
+        _, reply = _post(srv, "/jobs", {"kind": "detect", "source": RACY})
+        _poll_done(srv, reply["ids"][0])
+        srv.close()
+        assert JobQueue(path).result(reply["ids"][0]).status == "ok"
+
+
+class TestNoPerJobRetention:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_drained_server_holds_no_job_state(self, tmp_path, shared):
+        # A long-lived node keeps each result in one place -- the queue
+        # row -- and nothing per job in its pool.
+        queue = str(tmp_path / "q.db") if shared else None
+        srv = ServiceServer(workers=2, port=0, queue=queue,
+                            cache=ResultCache())
+        srv.start()
+        try:
+            sources = [RACY.replace("x = 1", f"x = {n}") for n in range(4)]
+            sources += sources[:2]  # repeats: cache hits / coalesced
+            _, reply = _post(srv, "/jobs", {"jobs": [
+                {"kind": "detect", "source": source} for source in sources]})
+            for job_id in reply["ids"]:
+                assert _poll_done(srv, job_id)["result"]["status"] == "ok"
+            state = pool_job_state(srv.pool)
+            assert not any(state.values()), state
+            assert srv.node.stats_snapshot()["in_flight"] == 0
+            assert len(srv.pool.cache) == 4
+        finally:
+            srv.close()

@@ -10,7 +10,7 @@ from repro.service import (
     DirectoryStore,
     Job,
     JobResult,
-    NullStore,
+    MemoryStore,
     ResultCache,
     open_store,
     run_job,
@@ -128,7 +128,14 @@ class TestEviction:
 
 class TestOpenStore:
     def test_no_path_is_memory_only(self):
-        assert isinstance(open_store(None), NullStore)
+        store = open_store(None)
+        assert isinstance(store, MemoryStore)
+        store.write(KEY_A, {"n": 1})
+        first = store.read(KEY_A)
+        first["n"] = 2  # every read is a fresh dict
+        assert store.read(KEY_A) == {"n": 1}
+        assert store.read(KEY_B) is None
+        assert store.count() == 1
 
     def test_path_is_directory_store(self, tmp_path):
         store = open_store(str(tmp_path), max_mb=1.0)
@@ -166,3 +173,51 @@ class TestCacheOverStore:
         hit = node_b.lookup(job)
         assert hit is not None and hit.cached
         assert hit.result["converged"]
+
+
+def _variant_jobs(count):
+    return [Job("detect", RACY.replace("x = 1", f"x = {n}"),
+                source_name=f"v{n}.hj") for n in range(1, count + 1)]
+
+
+class TestRemovedEntriesMiss:
+    """The directory is the only copy: an entry gone from the store is a
+    miss, however it went."""
+
+    def test_deleted_files_are_misses(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        jobs = _variant_jobs(3)
+        for job in jobs:
+            cache.put(cache.key_for(job), run_job(job))
+        assert len(cache) == 3
+        for path in root.rglob("*.json"):
+            path.unlink()
+        assert len(cache) == 0
+        assert all(cache.lookup(job) is None for job in jobs)
+        assert cache.stats.hits == 0 and cache.stats.misses == 3
+
+    def test_lru_evicted_entry_is_a_miss(self, tmp_path):
+        jobs = _variant_jobs(4)
+        results = [run_job(job) for job in jobs]
+        probe = ResultCache(str(tmp_path / "probe"))
+        probe.put(probe.key_for(jobs[0]), results[0])
+        size = probe.store.size_bytes()
+        cache = ResultCache(str(tmp_path / "cache"),
+                            max_mb=(size * 2.5) / (1024 * 1024))
+        for job, result in zip(jobs, results):
+            cache.put(cache.key_for(job), result)
+            time.sleep(0.01)  # distinct mtimes: the oldest goes first
+        assert cache.stats_dict()["evictions"] >= 1
+        assert cache.lookup(jobs[0]) is None
+        assert cache.lookup(jobs[-1]) is not None
+
+    def test_entry_written_by_another_node_then_evicted(self, tmp_path):
+        root = tmp_path / "shared"
+        writer, reader = ResultCache(str(root)), ResultCache(str(root))
+        job = _variant_jobs(1)[0]
+        writer.put(writer.key_for(job), run_job(job))
+        assert reader.lookup(job) is not None
+        for path in root.rglob("*.json"):
+            path.unlink()  # the writer's node evicted it
+        assert reader.lookup(job) is None
