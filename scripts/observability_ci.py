@@ -18,11 +18,10 @@ Three checks:
    status) must be present.
 
 3. **Overhead budget** — enabled tracing must cost within ``--budget``
-   (default 5%) of tracing-off on a full ``run_job``.  Measured min-of-N
-   over **CPU time** with interleaved on/off rounds (the same
-   methodology as ``scripts/telemetry_ci.py``: wall-clock minima on
-   shared runners shift more than the budget; CPU time holds a sub-1%
-   null), with an absolute grace floor against sub-millisecond jitter.
+   (default 5%) of tracing-off on a full ``run_job``.  Measured over
+   **CPU time** as the median of per-pair on/off ratios over ABBA-ordered
+   pairs (``overhead.py``, shared with ``scripts/telemetry_ci.py``), with
+   an absolute grace floor against sub-millisecond jitter.
 
 Exit status 0 iff all checks pass.  Usage::
 
@@ -40,6 +39,7 @@ import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from overhead import check_overhead as paired_overhead
 from repro import telemetry
 from repro.service import Job, JobQueue, run_job
 
@@ -217,7 +217,7 @@ def check_prometheus(workdir: str) -> int:
 
 def check_overhead(workdir: str, program: str, budget: float,
                    rounds: int, grace_s: float) -> int:
-    """Min-of-N ``run_job`` CPU time, tracing enabled vs disabled.
+    """``run_job`` CPU time, tracing enabled vs disabled, in ABBA pairs.
 
     Measured on a real example program (~50 ms of detection) so the
     per-job tracing cost — minting a context, exporting one session of
@@ -226,34 +226,22 @@ def check_overhead(workdir: str, program: str, budget: float,
     with open(program) as handle:
         source = handle.read()
     run_job(Job("detect", source, source_name="warm.hj"))  # warm-up
-
     log_path = os.path.join(workdir, "overhead.jsonl")
-    on, off = [], []
-    for _ in range(rounds):
-        telemetry.set_tracelog(None)
-        start = time.process_time()
-        run_job(Job("detect", source, source_name="off.hj"))
-        off.append(time.process_time() - start)
 
+    def run_off():
+        telemetry.set_tracelog(None)
+        run_job(Job("detect", source, source_name="off.hj"))
+
+    def run_on():
         telemetry.set_tracelog(log_path, node="ci")
-        start = time.process_time()
         run_job(Job("detect", source, source_name="on.hj",
                     trace=telemetry.TraceContext.mint()))
-        on.append(time.process_time() - start)
-    telemetry.set_tracelog(None)
 
-    best_off, best_on = min(off), min(on)
-    overhead = (best_on - best_off) / best_off
-    print(f"run_job cpu: off={best_off * 1e3:.2f} ms  "
-          f"on={best_on * 1e3:.2f} ms  overhead={overhead * 100:+.2f}% "
-          f"(budget {budget * 100:.0f}%, min of {rounds})")
-    if best_on - best_off <= grace_s:
-        return 0  # below measurement noise, regardless of ratio
-    if overhead > budget:
-        print(f"FAIL: tracing overhead {overhead * 100:.2f}% exceeds "
-              f"{budget * 100:.0f}% budget", file=sys.stderr)
-        return 1
-    return 0
+    try:
+        return paired_overhead("run_job tracing", run_off, run_on, budget,
+                               rounds, grace_s)
+    finally:
+        telemetry.set_tracelog(None)
 
 
 def main(argv=None) -> int:
@@ -267,7 +255,8 @@ def main(argv=None) -> int:
                              "workload, not a toy)")
     parser.add_argument("--budget", type=float, default=0.05,
                         help="max allowed relative overhead (default 5%%)")
-    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=16,
+                        help="on/off pairs, run in ABBA order")
     parser.add_argument("--grace-ms", type=float, default=2.0,
                         help="absolute delta below which the relative "
                              "budget is not enforced")

@@ -13,11 +13,10 @@ Two checks, both against a Table-1 program:
    don't instrument": per-access detector paths make zero telemetry
    calls, so a full detection under an active session must cost within
    ``--budget`` (default 5%) of a telemetry-off detection.  Measured
-   min-of-N over **CPU time** (``time.process_time``) with interleaved
-   on/off runs: shared CI runners routinely shift wall-clock minima by
-   more than the budget (a wall-vs-wall null experiment on a loaded box
-   showed ~3% between two identical configurations), while CPU time is
-   immune to scheduler preemption and holds a sub-1% null.  An absolute
+   over **CPU time** (``time.process_time``) as the median of per-pair
+   on/off ratios over ABBA-ordered pairs (``overhead.py``): shared CI
+   runners shift wall-clock by more than the budget, and a min-of-N
+   comparison of CPU times still flips on unchanged code.  An absolute
    grace floor additionally keeps sub-millisecond jitter from failing
    the relative check on fast machines.
 
@@ -32,10 +31,10 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from overhead import check_overhead as paired_overhead
 from repro import telemetry
 from repro.lang import parse
 from repro.races import detect_races
@@ -77,34 +76,17 @@ def check_trace(program: str, trace_out: str) -> int:
 
 def check_overhead(program: str, budget: float, rounds: int,
                    grace_s: float) -> int:
-    """Min-of-N detection CPU time, telemetry session on vs off."""
+    """Detection CPU time, telemetry session on vs off, in ABBA pairs."""
     with open(program) as handle:
         tree = parse(handle.read())
     detect_races(tree)  # warm-up: imports, caches, allocator
 
-    on, off = [], []
-    for _ in range(rounds):
-        start = time.process_time()
-        detect_races(tree)
-        off.append(time.process_time() - start)
-
-        start = time.process_time()
+    def run_on():
         with telemetry.session("ci-overhead"):
             detect_races(tree)
-        on.append(time.process_time() - start)
 
-    best_off, best_on = min(off), min(on)
-    overhead = (best_on - best_off) / best_off
-    print(f"detect cpu: off={best_off * 1e3:.2f} ms  "
-          f"on={best_on * 1e3:.2f} ms  overhead={overhead * 100:+.2f}% "
-          f"(budget {budget * 100:.0f}%, min of {rounds})")
-    if best_on - best_off <= grace_s:
-        return 0  # below measurement noise, regardless of ratio
-    if overhead > budget:
-        print(f"FAIL: telemetry overhead {overhead * 100:.2f}% exceeds "
-              f"{budget * 100:.0f}% budget", file=sys.stderr)
-        return 1
-    return 0
+    return paired_overhead("detect telemetry", lambda: detect_races(tree),
+                           run_on, budget, rounds, grace_s)
 
 
 def main(argv=None) -> int:
@@ -114,7 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", default="/tmp/telemetry_ci.json")
     parser.add_argument("--budget", type=float, default=0.05,
                         help="max allowed relative overhead (default 5%%)")
-    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=16,
+                        help="on/off pairs, run in ABBA order")
     parser.add_argument("--grace-ms", type=float, default=2.0,
                         help="absolute delta below which the relative "
                              "budget is not enforced")

@@ -175,6 +175,8 @@ class InsertionFinder:
              sink_positions: Sequence[int] = ()) -> Optional[InsertionPoint]:
         """Insertion point for a finish over dep nodes ``i..j`` (inclusive),
         excluding neighbours ``i-1`` and ``j+1``; None if impossible.
+        VALID(i, j) of the DP is exactly ``find(...) is not None``:
+        structurally in the S-DPST *and* in the source.
 
         ``sink_positions`` are the dependence-graph positions of the race
         sinks this finish must order after its join (the sinks of the
@@ -272,12 +274,6 @@ class InsertionFinder:
                     passed = True
             node = parent
         return True
-
-    def valid(self, nslca: DpstNode, dep_nodes: Sequence[DepNode],
-              i: int, j: int, sink_positions: Sequence[int] = ()) -> bool:
-        """VALID(i, j): a finish can enclose dep nodes i..j and nothing of
-        i-1 / j+1 — structurally in the S-DPST *and* in the source."""
-        return self.find(nslca, dep_nodes, i, j, sink_positions) is not None
 
     # -- internals -----------------------------------------------------
 
@@ -395,7 +391,7 @@ class InsertionFinder:
 def valid_algorithm2(nodes: Sequence[DepNode], i: int, j: int) -> bool:
     """The paper's Algorithm 2, verbatim: LCA-depth comparison against the
     neighbours.  Kept as a reference implementation; the engine uses the
-    structural :meth:`InsertionFinder.valid`, which additionally checks
+    structural :meth:`InsertionFinder.find`, which additionally checks
     static expressibility.  Tests cross-check that Algorithm 2 never
     rejects a placement the structural search accepts.
     """

@@ -24,8 +24,7 @@ asyncs, not the preceding step).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import RepairError
 
@@ -50,31 +49,40 @@ class PlacementSolution:
         return f"PlacementSolution(cost={self.cost}, finishes={self.finishes})"
 
 
-def _first_cross_table(n: int,
-                       edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """``table[i][k]`` = the smallest edge sink ``y > k`` over sources in
-    ``i..k`` (or ``n`` if none).  ``succ(i..k) ∩ {k+1..j} != empty`` is then
-    simply ``table[i][k] <= j``."""
-    succs: List[List[int]] = [[] for _ in range(n)]
+def check_graph(times: Sequence[int], is_async: Sequence[bool],
+                edges: Sequence[Tuple[int, int]]) -> int:
+    """Validate a dependence graph; returns its node count."""
+    n = len(times)
+    if n == 0:
+        raise RepairError("empty dependence graph")
+    if len(is_async) != n:
+        raise RepairError("times/is_async length mismatch")
     for x, y in edges:
-        succs[x].append(y)
-    for lst in succs:
-        lst.sort()
+        if not (0 <= x < y < n):
+            raise RepairError(f"bad edge ({x}, {y}) for n={n}")
+        if not is_async[x]:
+            raise RepairError(f"edge source {x} is not an async node")
+    return n
 
-    def min_succ_gt(x: int, k: int) -> int:
-        lst = succs[x]
-        pos = bisect_right(lst, k)
-        return lst[pos] if pos < len(lst) else n
 
-    table = [[n] * n for _ in range(n)]
-    for k in range(n):
-        best = n
-        for i in range(k, -1, -1):
-            cand = min_succ_gt(i, k)
-            if cand < best:
-                best = cand
-            table[i][k] = best
-    return table
+def find_finishes(part: List[List[int]],
+                  fin: List[List[bool]]) -> List[Tuple[int, int]]:
+    """Algorithm 3 (FIND) over the DP's ``Partition``/``Finish`` tables,
+    with the off-by-one in the paper's listing corrected: the right
+    subproblem is ``p+1..end``."""
+    finishes: List[Tuple[int, int]] = []
+
+    def find(begin: int, end: int) -> None:
+        if begin >= end:
+            return
+        p = part[begin][end]
+        find(begin, p)
+        find(p + 1, end)
+        if fin[begin][end]:
+            finishes.append((begin, p))
+
+    find(0, len(part) - 1)
+    return finishes
 
 
 def solve_placement(times: Sequence[int], is_async: Sequence[bool],
@@ -87,95 +95,123 @@ def solve_placement(times: Sequence[int], is_async: Sequence[bool],
     ``valid(i, k)`` answers whether a finish may wrap nodes ``i..k``
     (0-based, inclusive) without capturing node ``i-1`` or ``k+1``;
     defaults to always-true (pure graph problems, used heavily in tests).
-    """
-    n = len(times)
-    if n == 0:
-        raise RepairError("empty dependence graph")
-    if len(is_async) != n:
-        raise RepairError("times/is_async length mismatch")
-    for x, y in edges:
-        if not (0 <= x < y < n):
-            raise RepairError(f"bad edge ({x}, {y}) for n={n}")
-        if not is_async[x]:
-            raise RepairError(f"edge source {x} is not an async node")
+    It is asked only about a crossing partition that would beat the best
+    candidate so far, and at most once per ``(i, k)``.
 
+    The answer — ``(cost, finishes, est_after)`` — is exactly that of the
+    verbatim triple loop (:func:`repro.repair.bruteforce.reference_placement`)
+    on integer times; two exact shortcuts cut the work:
+
+    * **Edge-free ranges.**  If ``[i, j]`` contains no edge ``(x, y)``
+      with ``i <= x`` and ``y <= j``, no edge crosses any partition, so
+      every ``k`` yields ``cost = max_p(S(i, p) + t_p)`` and ``est = S(i,
+      j + 1)`` (``S`` = the synchronous time before ``p``): all ``k`` tie
+      and the tie-break keeps ``k = i`` without a finish.  Those cells
+      are filled from row ``i + 1`` alone, up to ``edge_end[i] = min{y :
+      (x, y) in E, x >= i}``.
+    * **Lazy VALID.**  A crossing candidate that cannot beat the current
+      best cannot change the result whether it is valid or not.
+    """
+    n = check_graph(times, is_async, edges)
     if valid is None:
         valid = lambda i, k: True  # noqa: E731 - trivial default
-    valid_cache: Dict[Tuple[int, int], bool] = {}
 
-    def is_valid(i: int, k: int) -> bool:
-        key = (i, k)
-        cached = valid_cache.get(key)
-        if cached is None:
-            cached = valid(i, k)
-            valid_cache[key] = cached
-        return cached
+    succs: List[List[int]] = [[] for _ in range(n)]
+    edge_end = [n] * (n + 1)
+    for x, y in edges:
+        succs[x].append(y)
+        if y < edge_end[x]:
+            edge_end[x] = y
+    for i in range(n - 1, -1, -1):
+        if edge_end[i + 1] < edge_end[i]:
+            edge_end[i] = edge_end[i + 1]
 
-    first_cross = _first_cross_table(n, edges)
-
+    # Rows are solved bottom-up (i = n-1 .. 0), each left to right, so
+    # opt[i][k] (k < j) and opt[k+1][j] are final when cell (i, j) is.
+    # ``*_col[j][k]`` mirrors ``*[k][j]`` for the k loop's right parts.
     opt = [[INF] * n for _ in range(n)]
     est_after = [[INF] * n for _ in range(n)]
-    part = [[-1] * n for _ in range(n)]
+    opt_col = [[INF] * n for _ in range(n)]
+    est_col = [[INF] * n for _ in range(n)]
+    part = [[i] * n for i in range(n)]
     fin = [[False] * n for _ in range(n)]
+    # first_cross[k] for the current row i: the smallest edge sink y > k
+    # over sources in i..k (n if none), so an edge crosses the partition
+    # i..k | k+1..j exactly when first_cross[k] <= j.
+    first_cross = [n] * n
 
-    for i in range(n):
-        opt[i][i] = times[i]
-        est_after[i][i] = 0 if is_async[i] else times[i]
-        part[i][i] = i
-
-    for s in range(2, n + 1):
-        for i in range(n - s + 1):
-            j = i + s - 1
-            best_c = INF
-            best_e = INF
-            best_k = -1
-            best_f = False
-            row_fc = first_cross[i]
-            for k in range(i, j):
-                left_opt = opt[i][k]
-                right_opt = opt[k + 1][j]
-                if left_opt == INF or right_opt == INF:
-                    continue
-                if row_fc[k] > j:
-                    # No dependence crosses the partition: no finish.
-                    c = left_opt
-                    alt = est_after[i][k] + right_opt
-                    if alt > c:
-                        c = alt
-                    e = est_after[i][k] + est_after[k + 1][j]
-                    f = False
-                elif is_valid(i, k):
-                    # A finish around i..k satisfies the crossing edges.
-                    c = left_opt + right_opt
-                    e = left_opt + est_after[k + 1][j]
-                    f = True
-                else:
-                    continue
-                if c < best_c or (c == best_c and e < best_e):
-                    best_c, best_e, best_k, best_f = c, e, k, f
-            opt[i][j] = best_c
-            est_after[i][j] = best_e
-            part[i][j] = best_k
-            fin[i][j] = best_f
+    for i in range(n - 1, -1, -1):
+        lo = i
+        for y in sorted(succs[i]):
+            # y is node i's smallest sink beyond every k in lo..y-1.
+            for k in range(lo, y):
+                if y < first_cross[k]:
+                    first_cross[k] = y
+            lo = y
+        opt_i = opt[i]
+        est_i = est_after[i]
+        t_i = times[i]
+        e_i = 0 if is_async[i] else t_i
+        opt_i[i] = t_i
+        est_i[i] = e_i
+        if i + 1 < n:
+            # Edge-free cells: the k = i no-cross case, computed exactly
+            # as the full loop would compute it.
+            opt_next = opt[i + 1]
+            est_next = est_after[i + 1]
+            for j in range(i + 1, edge_end[i]):
+                c = e_i + opt_next[j]
+                opt_i[j] = c if c > t_i else t_i
+                est_i[j] = e_i + est_next[j]
+            part_i = part[i]
+            fin_i = fin[i]
+            valid_i: List[Optional[bool]] = [None] * n  # VALID(i, k) memo
+            fc = first_cross[i:]
+            for j in range(max(i + 1, edge_end[i]), n):
+                best_c = INF
+                best_e = INF
+                best_k = -1
+                best_f = False
+                opt_j = opt_col[j]
+                est_j = est_col[j]
+                # An infeasible part (INF opt, hence INF est) makes both c
+                # and e INF, which never beats the best, so it needs no
+                # separate skip.
+                for k, left_opt, left_est, right_opt, right_est, cross in zip(
+                        range(i, j), opt_i[i:j], est_i[i:j],
+                        opt_j[i + 1:j + 1], est_j[i + 1:j + 1], fc):
+                    if cross > j:
+                        # No dependence crosses the partition: no finish.
+                        c = left_est + right_opt
+                        if left_opt > c:
+                            c = left_opt
+                        if c < best_c or (c == best_c
+                                          and left_est + right_est < best_e):
+                            best_c, best_e, best_k, best_f = \
+                                c, left_est + right_est, k, False
+                    else:
+                        # A finish around i..k satisfies the crossing
+                        # edges — if it wins and is VALID.
+                        c = left_opt + right_opt
+                        e = left_opt + right_est
+                        if c < best_c or (c == best_c and e < best_e):
+                            ok = valid_i[k]
+                            if ok is None:
+                                ok = valid_i[k] = valid(i, k)
+                            if ok:
+                                best_c, best_e, best_k, best_f = c, e, k, True
+                opt_i[j] = best_c
+                est_i[j] = best_e
+                part_i[j] = best_k
+                fin_i[j] = best_f
+        for j in range(i, n):
+            opt_col[j][i] = opt_i[j]
+            est_col[j][i] = est_i[j]
 
     if opt[0][n - 1] == INF:
         return None
-
-    finishes: List[Tuple[int, int]] = []
-
-    def find(begin: int, end: int) -> None:
-        """Algorithm 3 (FIND), with the off-by-one in the paper's listing
-        corrected: the right subproblem is ``p+1..end``."""
-        if begin >= end:
-            return
-        p = part[begin][end]
-        find(begin, p)
-        find(p + 1, end)
-        if fin[begin][end]:
-            finishes.append((begin, p))
-
-    find(0, n - 1)
-    return PlacementSolution(opt[0][n - 1], finishes, est_after[0][n - 1])
+    return PlacementSolution(opt[0][n - 1], find_finishes(part, fin),
+                             est_after[0][n - 1])
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The exhaustive placement oracle, and DP-vs-oracle agreement."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.repair.bruteforce import (
     brute_force_placement,
     enumerate_laminar_families,
+    reference_placement,
 )
 from repro.repair.placement import (
     covers_all_edges,
@@ -98,3 +100,59 @@ class TestDpOptimality:
         assert (solution is None) == (oracle is None)
         if solution is not None:
             assert solution.cost == oracle[0]
+
+
+@st.composite
+def placement_graphs(draw):
+    """Graphs up to n = 40 in two shapes: edge-free-heavy (a few short
+    edges, as in most NS-LCA graphs) and dense (many long edges).  Small
+    time ranges make cost ties, which exercise the tie-break, common."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 40)))
+    top = draw(st.sampled_from([2, 4, 30]))
+    times = draw(st.lists(st.integers(min_value=0, max_value=top),
+                          min_size=n, max_size=n))
+    is_async = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sources = [x for x in range(n - 1) if is_async[x]]
+    edges = set()
+    if sources:
+        dense = draw(st.booleans())
+        count = draw(st.integers(0, 3 * n if dense else max(1, n // 8)))
+        reach = n if dense else 3
+        for _ in range(count):
+            x = draw(st.sampled_from(sources))
+            edges.add((x, draw(st.integers(x + 1, min(n - 1, x + reach)))))
+    return times, is_async, sorted(edges)
+
+
+class TestReferenceIdentity:
+    """The shortcut DP returns exactly what the verbatim triple loop
+    returns, and asks VALID about a subset of the reference's pairs."""
+
+    @given(graph=placement_graphs(), salt=st.integers(0, 2 ** 16),
+           reject=st.sampled_from([0, 10, 40, 90]))
+    # Two crossing candidates tie on cost; only the EST tie-break picks
+    # the single finish (0, 1) over (0, 0) + (1, 2).
+    @example(graph=([2, 4, 2, 0], [True] * 4, [(0, 2), (1, 3)]), salt=0,
+             reject=0)
+    @settings(max_examples=150, deadline=None)
+    def test_solution_and_valid_calls(self, graph, salt, reject):
+        times, is_async, edges = graph
+
+        def recorder(calls):
+            def valid(i, k):
+                calls.append((i, k))
+                return hash((salt, i, k)) % 100 >= reject
+            return valid
+
+        fast_calls, reference_calls = [], []
+        fast = solve_placement(times, is_async, edges, recorder(fast_calls))
+        reference = reference_placement(times, is_async, edges,
+                                        recorder(reference_calls))
+        if reference is None:
+            assert fast is None
+        else:
+            assert fast is not None
+            assert (fast.cost, fast.finishes, fast.est_after) == \
+                (reference.cost, reference.finishes, reference.est_after)
+        assert len(fast_calls) == len(set(fast_calls))
+        assert set(fast_calls) <= set(reference_calls)

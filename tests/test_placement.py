@@ -146,6 +146,16 @@ class TestValidity:
         solve([1] * 6, [True] * 6, [(0, 5), (1, 4), (2, 3)], valid)
         assert len(calls) == len(set(calls))
 
+        # [0, 4] is edge-free: the one edge (0, 5) ends past it.  The
+        # finish (0, 0) already wins, so no wider wrap (0, k) inside the
+        # edge-free range can beat it and VALID is never asked about one.
+        calls.clear()
+        solution = solve([4, 1, 1, 1, 1, 3], [True] * 5 + [False],
+                         [(0, 5)], valid)
+        assert solution.finishes == [(0, 0)]
+        assert calls == [(0, 0)]
+        assert not {(0, 1), (0, 2), (0, 3), (0, 4)} & set(calls)
+
 
 class TestChains:
     def test_serial_chain_of_dependences(self):
